@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -33,11 +34,11 @@ from .config import (
     dumps_config,
     load_config,
 )
-from .detection import measure, output_two_mode_state, predicted_r
+from .detection import _record_blocks, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
 from .errors import ConfigError, NumericsError
-from .gaussian import tms_theory_covariance
-from .tomography import WignerGrid, estimate_state
+from .gaussian import tms_theory_covariance, vacuum_state
+from .tomography import WignerGrid, estimate_from_blocks
 
 TWO_PI = 2.0 * np.pi
 
@@ -169,6 +170,19 @@ def _pair_key(labels) -> str:
     return f"{labels[0].lower()}_{labels[1].lower()}"
 
 
+def _saved_blocks(blocks, out_dir: Path):
+    """Pass (pump-on, pump-off) block pairs through, appending each block to
+    records_on.bin / records_off.bin (little-endian float64, record-major,
+    columns X1, P1, X2, P2)."""
+    with open(out_dir / "records_on.bin", "wb") as fh_on, open(
+        out_dir / "records_off.bin", "wb"
+    ) as fh_off:
+        for on, off in blocks:
+            on.astype("<f8", copy=False).tofile(fh_on)
+            off.astype("<f8", copy=False).tofile(fh_off)
+            yield on, off
+
+
 def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
     run = cfg.run
     device = cfg.device.build()
@@ -180,18 +194,20 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
     else:
         state = tms_theory_covariance(run.r_true, run.n_add_true)
     det = cfg.detection.build()
-    records_on = measure(state, det, run.n_records, run.seed, pump_on=True)
-    records_off = measure(state, det, run.n_records, run.seed, pump_on=False)
-    est = estimate_state(
-        records_on,
-        records_off,
-        det.noise_pair,
-        method=run.method,
-        bins=run.bins,
-        bin_sigmas=run.bin_sigmas,
-        prefix_records=run.prefix_records,
-        grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
-    )
+    # one pass: each chunk of draws feeds the pump-on and pump-off accumulators
+    blocks = _record_blocks((state, vacuum_state(2)), det, run.n_records, run.seed)
+    if run.save_records:
+        blocks = _saved_blocks(blocks, out_dir)
+    with contextlib.closing(blocks):  # closes the record files on failure too
+        est = estimate_from_blocks(
+            blocks,
+            det.noise_pair,
+            method=run.method,
+            bins=run.bins,
+            bin_sigmas=run.bin_sigmas,
+            prefix_records=run.prefix_records,
+            grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
+        )
     result = est.tomography
     result.save_json(out_dir / "covariance.json")
 
@@ -220,10 +236,6 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
     for name, marginal in result.marginals.items():
         marginal.to_csv(out_dir / f"wigner_{name}.csv", column="measured")
         marginal.to_csv(out_dir / f"wigner_{name}_ideal.csv", column="ideal")
-
-    if run.save_records:
-        records_on.save_binary(out_dir / "records_on.bin")
-        records_off.save_binary(out_dir / "records_off.bin")
 
     return {
         "state_source": run.state_source,

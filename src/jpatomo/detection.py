@@ -11,9 +11,8 @@ thermal auxiliary mode carrying the detection-chain noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -241,100 +240,127 @@ class DetectionConfig:
         return (self.n_noise, n2)
 
 
-class MeasurementRecord(NamedTuple):
-    """One simultaneous complex sample pair from the two channels."""
-
-    s1: complex
-    s2: complex
-
-
 class RecordBatch:
-    """Column store of measurement records (complex128 per channel)."""
+    """Measurement records held as one C-contiguous (n, 4) float64 store.
 
-    __slots__ = ("s1", "s2")
+    The columns are the measured quadratures (X1, P1, X2, P2), i.e.
+    (Re s1, Im s1, Re s2, Im s2).  The complex channel samples `s1` and `s2`
+    are views of the store, and `quadratures()` and `chunks()` return the
+    store or slices of it; all of them are read-only.
+    """
+
+    __slots__ = ("_store",)
 
     def __init__(self, s1: NDArray[np.complex128], s2: NDArray[np.complex128]):
         s1 = np.asarray(s1, dtype=np.complex128)
         s2 = np.asarray(s2, dtype=np.complex128)
         if s1.shape != s2.shape or s1.ndim != 1:
             raise ValueError("s1 and s2 must be 1-D arrays of equal length")
-        self.s1 = s1
-        self.s2 = s2
+        pairs = np.empty((s1.size, 2), dtype=np.complex128)
+        pairs[:, 0] = s1
+        pairs[:, 1] = s2
+        self._store = pairs.view(np.float64)
+        self._store.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, store: NDArray[np.float64]) -> "RecordBatch":
+        """Adopt an (n, 4) C-contiguous float64 store without copying."""
+        batch = cls.__new__(cls)
+        store.setflags(write=False)
+        batch._store = store
+        return batch
+
+    @property
+    def s1(self) -> NDArray[np.complex128]:
+        return self._store.view(np.complex128)[:, 0]
+
+    @property
+    def s2(self) -> NDArray[np.complex128]:
+        return self._store.view(np.complex128)[:, 1]
 
     def __len__(self) -> int:
-        return self.s1.size
-
-    def __getitem__(self, idx: int) -> MeasurementRecord:
-        return MeasurementRecord(complex(self.s1[idx]), complex(self.s2[idx]))
-
-    def __iter__(self) -> Iterator[MeasurementRecord]:
-        for k in range(len(self)):
-            yield self[k]
+        return self._store.shape[0]
 
     def quadratures(self) -> NDArray[np.float64]:
         """Measured quadratures as columns (X1, P1, X2, P2)."""
-        out = np.empty((len(self), 4))
-        out[:, 0] = self.s1.real
-        out[:, 1] = self.s1.imag
-        out[:, 2] = self.s2.real
-        out[:, 3] = self.s2.imag
-        return out
+        return self._store
 
-    def chunks(self, size: int = _MEASURE_CHUNK) -> Iterator[NDArray[np.float64]]:
-        """Quadrature blocks of at most `size` records (bounded memory)."""
+    def chunks(self, size: int | None = None) -> Iterator[NDArray[np.float64]]:
+        """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK)."""
+        size = _MEASURE_CHUNK if size is None else size
         for start in range(0, len(self), size):
-            stop = min(start + size, len(self))
-            block = np.empty((stop - start, 4))
-            block[:, 0] = self.s1.real[start:stop]
-            block[:, 1] = self.s1.imag[start:stop]
-            block[:, 2] = self.s2.real[start:stop]
-            block[:, 3] = self.s2.imag[start:stop]
-            yield block
-
-    # -- serialization: columns (re_s1, im_s1, re_s2, im_s2) ---------------
-
-    _CSV_HEADER = ("re_s1", "im_s1", "re_s2", "im_s2")
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._CSV_HEADER)
-            for k in range(len(self)):
-                writer.writerow(
-                    (
-                        repr(float(self.s1.real[k])),
-                        repr(float(self.s1.imag[k])),
-                        repr(float(self.s2.real[k])),
-                        repr(float(self.s2.imag[k])),
-                    )
-                )
-
-    @classmethod
-    def load_csv(cls, path) -> "RecordBatch":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=np.float64)
-        if data.size == 0:
-            return cls(np.empty(0, np.complex128), np.empty(0, np.complex128))
-        if data.shape[1] != 4:
-            raise ValueError("record CSV must have 4 columns")
-        return cls(data[:, 0] + 1j * data[:, 1], data[:, 2] + 1j * data[:, 3])
+            yield self._store[start : start + size]
 
     def save_binary(self, path) -> None:
-        """Little-endian float64 stream, record-major."""
-        flat = np.empty((len(self), 4), dtype="<f8")
-        flat[:, 0] = self.s1.real
-        flat[:, 1] = self.s1.imag
-        flat[:, 2] = self.s2.real
-        flat[:, 3] = self.s2.imag
-        with open(path, "wb") as fh:
-            fh.write(flat.tobytes(order="C"))
+        """Little-endian float64 stream, record-major, columns (X1, P1, X2, P2)."""
+        self._store.astype("<f8", copy=False).tofile(path)
 
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
         raw = np.fromfile(path, dtype="<f8")
         if raw.size % 4 != 0:
             raise ValueError("binary record stream length is not a multiple of 4")
-        flat = raw.reshape(-1, 4).astype(np.float64)
-        return cls(flat[:, 0] + 1j * flat[:, 1], flat[:, 2] + 1j * flat[:, 3])
+        return cls._wrap(raw.reshape(-1, 4).astype(np.float64, copy=False))
+
+
+def _record_blocks(
+    sources: Sequence[GaussianState],
+    config: DetectionConfig,
+    n: int,
+    seed: int,
+    streams: int = 1,
+    out: Sequence[NDArray[np.float64]] | None = None,
+) -> Iterator[tuple[NDArray[np.float64], ...]]:
+    """Record blocks of every source from one set of random draws.
+
+    The n records split into `streams` contiguous partitions; partition k
+    draws its signal normals z from spawn key (k, 0) and its auxiliary-noise
+    normals from spawn key (k, 1), in chunks of at most _MEASURE_CHUNK
+    records.  Each chunk is drawn once and yields one C-contiguous (m, 4)
+    block per source,
+
+        (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
+
+    whose columns are (Re S1, Im S1, Re S2, Im S2).  With `out` (one (n, 4)
+    array per source) the blocks are written into those arrays and are
+    views of them.  Callers validate the arguments.
+    """
+    chols = [_cholesky_with_jitter(source.cov) for source in sources]
+    n1, n2 = config.noise_pair
+    sd1 = np.sqrt((2.0 * n1 + 1.0) / 4.0)
+    sd2 = np.sqrt((2.0 * n2 + 1.0) / 4.0)
+    noise_sd = np.array([sd1, -sd1, sd2, -sd2])
+    gains = np.array([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
+
+    def draw(rng_sig, rng_noise, start: int, step: int):
+        # every temporary dies on return: a suspended generator holds nothing
+        z = rng_sig.standard_normal((step, 4))
+        aux = rng_noise.standard_normal((step, 4))
+        aux *= noise_sd
+        blocks = []
+        for j, (source, chol) in enumerate(zip(sources, chols)):
+            block = None if out is None else out[j][start : start + step]
+            block = np.matmul(z, chol.T, out=block)
+            block += source.mean
+            block += aux
+            block *= gains
+            blocks.append(block)
+        return tuple(blocks)
+
+    base, extra = divmod(n, streams)
+    start = 0
+    for k in range(streams):
+        m = base + (1 if k < extra else 0)
+        rng_sig = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
+        )
+        rng_noise = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
+        )
+        for done in range(0, m, _MEASURE_CHUNK):
+            step = min(_MEASURE_CHUNK, m - done)
+            yield draw(rng_sig, rng_noise, start, step)
+            start += step
 
 
 def measure(
@@ -362,44 +388,7 @@ def measure(
     if streams < 1:
         raise ValueError("streams must be >= 1")
     source = state if pump_on else vacuum_state(2)
-    chol = _cholesky_with_jitter(source.cov)
-    mean = source.mean
-    n1, n2 = config.noise_pair
-    noise_sd = np.array(
-        [
-            np.sqrt((2.0 * n1 + 1.0) / 4.0),
-            np.sqrt((2.0 * n1 + 1.0) / 4.0),
-            np.sqrt((2.0 * n2 + 1.0) / 4.0),
-            np.sqrt((2.0 * n2 + 1.0) / 4.0),
-        ]
-    )
-    s1 = np.empty(n, dtype=np.complex128)
-    s2 = np.empty(n, dtype=np.complex128)
-
-    base = n // streams
-    extra = n % streams
-    start = 0
-    for k in range(streams):
-        m = base + (1 if k < extra else 0)
-        rng_sig = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
-        )
-        rng_noise = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
-        )
-        done = 0
-        while done < m:
-            step = min(_MEASURE_CHUNK, m - done)
-            quads = mean + rng_sig.standard_normal((step, 4)) @ chol.T
-            aux = rng_noise.standard_normal((step, 4)) * noise_sd
-            lo = start + done
-            hi = lo + step
-            s1[lo:hi] = config.gain_ch1 * (
-                (quads[:, 0] + aux[:, 0]) + 1j * (quads[:, 1] - aux[:, 1])
-            )
-            s2[lo:hi] = config.gain_ch2 * (
-                (quads[:, 2] + aux[:, 2]) + 1j * (quads[:, 3] - aux[:, 3])
-            )
-            done += step
-        start += m
-    return RecordBatch(s1, s2)
+    store = np.empty((n, 4))
+    for _ in _record_blocks((source,), config, n, seed, streams, out=(store,)):
+        pass
+    return RecordBatch._wrap(store)

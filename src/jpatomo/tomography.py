@@ -16,6 +16,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -103,15 +104,15 @@ def auto_binning(
     prefix_records: int = 10_000,
 ) -> Binning:
     """Square range +-sigmas * (largest per-axis std of a record prefix)."""
-    m = min(len(batch), prefix_records)
-    if m < 2:
+    m = max(min(len(batch), prefix_records), 0)
+    return _prefix_binning(batch.quadratures()[:m], bins, sigmas)
+
+
+def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Binning:
+    """The auto_binning rule applied to the (m, 4) prefix quadratures."""
+    if prefix.shape[0] < 2:
         raise DegenerateReferenceError("need at least 2 records to choose a range")
-    q = np.empty((m, 4))
-    q[:, 0] = batch.s1.real[:m]
-    q[:, 1] = batch.s1.imag[:m]
-    q[:, 2] = batch.s2.real[:m]
-    q[:, 3] = batch.s2.imag[:m]
-    sigma = float(np.max(q.std(axis=0)))
+    sigma = float(np.max(prefix.std(axis=0)))
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DegenerateReferenceError("record prefix has no spread")
     half = sigmas * sigma
@@ -205,30 +206,38 @@ def _iter_quadrature_blocks(records) -> Iterator[NDArray[np.float64]]:
     raise TypeError("records must be a RecordBatch or an (n, 4) quadrature array")
 
 
+def _empty_histograms(binning: Binning) -> dict[tuple[str, str], Histogram2D]:
+    return {pair: Histogram2D.empty(pair, binning) for pair in PAIR_LABELS}
+
+
+def _histogram_block(
+    hists: dict[tuple[str, str], Histogram2D], block: NDArray[np.float64], binning: Binning
+) -> None:
+    """Add one (m, 4) quadrature block to the six pair histograms.
+
+    All four columns are binned at once and out-of-range values go to a
+    sentinel bin `bins`; one bincount per pair over (bins + 1)^2 cells then
+    counts the pair, and the sentinel row and column hold its overflow.
+    """
+    nbins = binning.bins
+    idx, inside = binning.index(block)
+    idx[~inside] = nbins
+    m = block.shape[0]
+    for pair in PAIR_LABELS:
+        lin = idx[:, _AXIS_INDEX[pair[0]]] * (nbins + 1) + idx[:, _AXIS_INDEX[pair[1]]]
+        cells = np.bincount(lin, minlength=(nbins + 1) ** 2)
+        counts = cells.reshape(nbins + 1, nbins + 1)[:nbins, :nbins]
+        h = hists[pair]
+        h.counts += counts
+        h.n_total += m
+        h.overflow += m - int(counts.sum())
+
+
 def accumulate_histograms(records, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
-    hists = {pair: Histogram2D.empty(pair, binning) for pair in PAIR_LABELS}
-    nbins = binning.bins
+    hists = _empty_histograms(binning)
     for block in _iter_quadrature_blocks(records):
-        m = block.shape[0]
-        idx = []
-        inside = []
-        for col in range(4):
-            i, ok = binning.index(block[:, col])
-            idx.append(i)
-            inside.append(ok)
-        for pair in PAIR_LABELS:
-            a = _AXIS_INDEX[pair[0]]
-            b = _AXIS_INDEX[pair[1]]
-            ok = inside[a] & inside[b]
-            lin = idx[a][ok] * nbins + idx[b][ok]
-            h = hists[pair]
-            h.counts += np.bincount(lin, minlength=nbins * nbins).reshape(
-                nbins, nbins
-            )
-            kept = int(ok.sum())
-            h.n_total += m
-            h.overflow += m - kept
+        _histogram_block(hists, block, binning)
     return hists
 
 
@@ -716,36 +725,86 @@ def estimate_state(
     prefix_records: int = 10_000,
     grid: WignerGrid | None = None,
 ) -> EstimationResult:
-    """Records to reconstructed state in one call.
+    """Records to reconstructed state in one call (see estimate_from_blocks)."""
+    blocks = zip_longest(
+        _iter_quadrature_blocks(records_on),
+        _iter_quadrature_blocks(records_off),
+        fillvalue=np.empty((0, 4)),
+    )
+    return estimate_from_blocks(
+        blocks,
+        n_noise,
+        method=method,
+        bins=bins,
+        bin_sigmas=bin_sigmas,
+        prefix_records=prefix_records,
+        grid=grid,
+    )
+
+
+def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
+    """Binning from the first `prefix_records` pump-on records, and an
+    iterator over all block pairs (the buffered head first, released as it
+    is consumed)."""
+    head = []
+    n_head = 0
+    for on_off in blocks:
+        head.append(on_off)
+        n_head += on_off[0].shape[0]
+        if n_head >= prefix_records:
+            break
+    m = max(min(n_head, prefix_records), 0)
+    prefix = np.concatenate([on[:m] for on, _ in head] + [np.empty((0, 4))])
+    return _prefix_binning(prefix[:m], bins, sigmas), chain(iter(head), blocks)
+
+
+def estimate_from_blocks(
+    blocks: Iterable[tuple[NDArray[np.float64], NDArray[np.float64]]],
+    n_noise: float | tuple[float, float],
+    method: str = "histogram",
+    bins: int = 128,
+    bin_sigmas: float = 6.0,
+    prefix_records: int = 10_000,
+    grid: WignerGrid | None = None,
+) -> EstimationResult:
+    """Reconstruct the state in one pass over paired (pump-on, pump-off)
+    (m, 4) quadrature blocks.
 
     method "histogram" goes through the six pair histograms per pump setting
-    (the export path); "streaming" accumulates exact moments directly.  Both
-    calibrate on the pump-off records, subtract them, and fit.
+    (the export path), binned by the auto_binning rule on the first
+    `prefix_records` pump-on records; "streaming" accumulates exact moments
+    directly.  Both calibrate on the pump-off records, subtract them, and
+    fit.  Memory is one block pair plus the blocks the prefix spans.
     """
     if method not in ("histogram", "streaming"):
         raise ValueError("method must be 'histogram' or 'streaming'")
+    blocks = iter(blocks)
     binning = None
     hists_on = hists_off = None
     if method == "histogram":
-        binning = auto_binning(
-            records_on, bins=bins, sigmas=bin_sigmas, prefix_records=prefix_records
-        )
-        hists_on = accumulate_histograms(records_on, binning)
-        hists_off = accumulate_histograms(records_off, binning)
+        binning, blocks = _binning_from_head(blocks, bins, bin_sigmas, prefix_records)
+        hists_on = _empty_histograms(binning)
+        hists_off = _empty_histograms(binning)
+        for on, off in blocks:
+            _histogram_block(hists_on, on, binning)
+            _histogram_block(hists_off, off, binning)
+            del on, off  # free this pair before the next one is drawn
         raw_on = moment_set_from_histograms(hists_on)
         raw_off = moment_set_from_histograms(hists_off)
     else:
-        raw_on = accumulate_moments(records_on)
-        raw_off = accumulate_moments(records_off)
+        acc_on, acc_off = MomentAccumulator(), MomentAccumulator()
+        for on, off in blocks:
+            acc_on.update(on)
+            acc_off.update(off)
+            del on, off
+        raw_on = acc_on.finalize()
+        raw_off = acc_off.finalize()
     scales = calibrate(raw_off, n_noise)
     on = apply_scale(raw_on, scales)
     off = apply_scale(raw_off, scales)
     v = deconvolve(on, off)
     result = reconstruct(
-        v,
-        grid=grid,
-        scale_factors=scales,
-        n_records=(len(records_on), len(records_off)),
+        v, grid=grid, scale_factors=scales, n_records=(raw_on.n, raw_off.n)
     )
     return EstimationResult(
         tomography=result,

@@ -5,10 +5,12 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from jpatomo import cli, detection
 from jpatomo.cli import main, run_scenario
 from jpatomo.config import (
     SCHEMA_VERSION,
@@ -20,8 +22,10 @@ from jpatomo.config import (
     parse_config,
     save_config,
 )
-from jpatomo.detection import RecordBatch
-from jpatomo.errors import ConfigError
+from jpatomo.detection import RecordBatch, measure
+from jpatomo.errors import ConfigError, NumericsError
+from jpatomo.gaussian import tms_theory_covariance
+from jpatomo.tomography import PAIR_LABELS, WignerGrid, estimate_state
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:estimated covariance marginally unphysical"
@@ -255,6 +259,81 @@ def test_tomography_save_records_round_trip(tmp_path):
     assert len(batch) == 500
 
 
+# Small enough that the 10^4-record binning prefix spans three chunks.
+_SMALL_CHUNK = 4096
+
+
+def _two_call_estimate(cfg):
+    """The reference path: measure each pump setting, then estimate_state."""
+    run = cfg.run
+    state = tms_theory_covariance(run.r_true, run.n_add_true)
+    det = cfg.detection.build()
+    return estimate_state(
+        measure(state, det, run.n_records, run.seed, pump_on=True),
+        measure(state, det, run.n_records, run.seed, pump_on=False),
+        det.noise_pair,
+        method=run.method,
+        bins=run.bins,
+        bin_sigmas=run.bin_sigmas,
+        prefix_records=run.prefix_records,
+        grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
+    )
+
+
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+@pytest.mark.parametrize("n", [2, 10_000 - 1, 3 * _SMALL_CHUNK + 7])
+def test_fused_tomography_equals_two_call_path(tmp_path, monkeypatch, method, n):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    cfg = small_run(n_records=n, method=method, prefix_records=10_000, seed=20260814)
+    fused = []
+    core = cli.estimate_from_blocks
+    monkeypatch.setattr(
+        cli, "estimate_from_blocks", lambda *a, **k: fused.append(core(*a, **k)) or fused[-1]
+    )
+    try:
+        ref = _two_call_estimate(cfg)
+    except NumericsError as exc:
+        # two records cannot be reconstructed: both paths fail the same way
+        assert n == 2
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            run_scenario("tomography", cfg, tmp_path / "cli")
+        return
+    run_scenario("tomography", cfg, tmp_path / "cli")
+    (est,) = fused
+    assert est.binning == ref.binning
+    if method == "histogram":
+        for setting in ("histograms_on", "histograms_off"):
+            for pair in PAIR_LABELS:
+                got, want = getattr(est, setting)[pair], getattr(ref, setting)[pair]
+                assert np.array_equal(got.counts, want.counts)
+                assert (got.n_total, got.overflow) == (want.n_total, want.overflow)
+    else:
+        assert est.histograms_on is None and ref.histograms_on is None
+    for setting in ("moments_on", "moments_off"):
+        got, want = getattr(est, setting), getattr(ref, setting)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+        assert got.n == want.n == n
+    ref.tomography.save_json(tmp_path / "ref.json")
+    assert (tmp_path / "cli" / "covariance.json").read_bytes() == (
+        tmp_path / "ref.json"
+    ).read_bytes()
+
+
+def test_tomography_saved_records_equal_measured_store(tmp_path, monkeypatch):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    n = 3 * _SMALL_CHUNK + 7
+    cfg = small_run(n_records=n, save_records=True, prefix_records=10_000, seed=20260814)
+    run_scenario("tomography", cfg, tmp_path)
+    state = tms_theory_covariance(cfg.run.r_true, cfg.run.n_add_true)
+    det = cfg.detection.build()
+    for setting, pump_on in (("on", True), ("off", False)):
+        batch = measure(state, det, n, cfg.run.seed, pump_on=pump_on)
+        raw = (tmp_path / f"records_{setting}.bin").read_bytes()
+        assert raw == batch.quadratures().astype("<f8").tobytes()
+        loaded = RecordBatch.load_binary(tmp_path / f"records_{setting}.bin")
+        assert np.array_equal(loaded.s1, batch.s1) and np.array_equal(loaded.s2, batch.s2)
+
+
 def test_tomography_device_state_source(tmp_path):
     cfg = small_run(state_source="device")
     manifest = run_scenario("tomography", cfg, tmp_path)
@@ -337,6 +416,18 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
     code = main(["--config", str(cfg_path), "--scenario", "psd", "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+@pytest.mark.parametrize("records", [0, 1])
+def test_cli_too_few_records_returns_3(tmp_path, capsys, method, records):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_run(method=method), cfg_path)
+    code = main(
+        ["--config", str(cfg_path), "--records", str(records), "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "need at least 2 records" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_returns_4(tmp_path, capsys):

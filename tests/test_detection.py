@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpatomo import detection
 from jpatomo.detection import (
     DetectionConfig,
     FilterSpec,
-    MeasurementRecord,
     RecordBatch,
     design_filter,
     measure,
@@ -29,6 +29,7 @@ from jpatomo.errors import (
     UnsupportedFilterError,
 )
 from jpatomo.gaussian import (
+    _cholesky_with_jitter,
     tms_theory_covariance,
     two_mode_squeeze,
     vacuum_state,
@@ -348,6 +349,48 @@ def test_measure_stream_split_changes_layout_not_statistics():
     assert abs(one.s1.real.var() - four.s1.real.var()) < 0.5
 
 
+def _complex_column_records(state, config, n, seed, streams, chunk):
+    """Records built as complex channel samples, one chunk of draws at a time."""
+    chol = _cholesky_with_jitter(state.cov)
+    n1, n2 = config.noise_pair
+    noise_sd = np.sqrt((2.0 * np.array([n1, n1, n2, n2]) + 1.0) / 4.0)
+    s1 = np.empty(n, dtype=np.complex128)
+    s2 = np.empty(n, dtype=np.complex128)
+    start = 0
+    for k in range(streams):
+        m = n // streams + (1 if k < n % streams else 0)
+        rng_sig, rng_noise = (
+            np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, c)))
+            )
+            for c in (0, 1)
+        )
+        for lo in range(start, start + m, chunk):
+            hi = min(lo + chunk, start + m)
+            quads = state.mean + rng_sig.standard_normal((hi - lo, 4)) @ chol.T
+            aux = rng_noise.standard_normal((hi - lo, 4)) * noise_sd
+            s1[lo:hi] = config.gain_ch1 * (
+                (quads[:, 0] + aux[:, 0]) + 1j * (quads[:, 1] - aux[:, 1])
+            )
+            s2[lo:hi] = config.gain_ch2 * (
+                (quads[:, 2] + aux[:, 2]) + 1j * (quads[:, 3] - aux[:, 3])
+            )
+        start += m
+    return np.column_stack([s1.real, s1.imag, s2.real, s2.imag])
+
+
+def test_measure_store_equals_complex_column_construction(monkeypatch):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 1000)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    for pump_on, source in ((True, state), (False, vacuum_state(2))):
+        batch = measure(state, cfg, 4_003, seed=5, pump_on=pump_on, streams=3)
+        store = batch.quadratures()
+        assert store.shape == (4_003, 4) and store.flags.c_contiguous
+        ref = _complex_column_records(source, cfg, 4_003, seed=5, streams=3, chunk=1000)
+        assert store.tobytes() == ref.tobytes()
+
+
 def test_measure_validation():
     state = two_mode_squeeze(vacuum_state(2), 1.0)
     cfg = DetectionConfig()
@@ -368,15 +411,6 @@ def test_measure_zero_records():
 # record container and serialization
 
 
-def test_record_batch_sequence_protocol():
-    batch = measure(vacuum_state(2), DetectionConfig(), 5, seed=1)
-    assert len(batch) == 5
-    rec = batch[2]
-    assert isinstance(rec, MeasurementRecord)
-    assert rec.s1 == complex(batch.s1[2])
-    assert [r.s2 for r in batch] == [complex(z) for z in batch.s2]
-
-
 def test_record_batch_quadrature_columns():
     batch = RecordBatch(
         np.array([1.0 + 2.0j, 3.0 - 4.0j]), np.array([5.0 + 6.0j, -7.0 + 8.0j])
@@ -391,17 +425,6 @@ def test_record_batch_chunks_cover_all_records():
     blocks = list(batch.chunks(size=256))
     assert [b.shape[0] for b in blocks] == [256, 256, 256, 232]
     np.testing.assert_array_equal(np.vstack(blocks), batch.quadratures())
-
-
-def test_record_batch_csv_roundtrip(tmp_path):
-    batch = measure(two_mode_squeeze(vacuum_state(2), 1.3), DetectionConfig(), 64, seed=3)
-    path = tmp_path / "records.csv"
-    batch.save_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "re_s1,im_s1,re_s2,im_s2"
-    back = RecordBatch.load_csv(path)
-    np.testing.assert_array_equal(back.s1, batch.s1)
-    np.testing.assert_array_equal(back.s2, batch.s2)
 
 
 def test_record_batch_binary_roundtrip(tmp_path):
