@@ -173,10 +173,12 @@ def _pair_key(labels) -> str:
 def _saved_blocks(blocks, out_dir: Path):
     """Pass (pump-on, pump-off) block pairs through, appending each block to
     records_on.bin / records_off.bin (little-endian float64, record-major,
-    columns X1, P1, X2, P2)."""
-    with open(out_dir / "records_on.bin", "wb") as fh_on, open(
-        out_dir / "records_off.bin", "wb"
-    ) as fh_off:
+    columns X1, P1, X2, P2).  Closing it closes `blocks` too."""
+    with (
+        contextlib.closing(blocks),
+        open(out_dir / "records_on.bin", "wb") as fh_on,
+        open(out_dir / "records_off.bin", "wb") as fh_off,
+    ):
         for on, off in blocks:
             on.astype("<f8", copy=False).tofile(fh_on)
             off.astype("<f8", copy=False).tofile(fh_off)

@@ -11,6 +11,7 @@ thermal auxiliary mode carrying the detection-chain noise.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -321,7 +322,11 @@ def _record_blocks(
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
 
-    whose columns are (Re S1, Im S1, Re S2, Im S2).  With `out` (one (n, 4)
+    whose columns are (Re S1, Im S1, Re S2, Im S2).  While this thread draws
+    a chunk's z, one worker thread (owned by this generator and joined when
+    it finishes or is closed) draws the same chunk's aux and scales it by
+    the noise deviations; each generator is read in order by one thread, so
+    the blocks are bit-identical to a serial draw.  With `out` (one (n, 4)
     array per source) the blocks are written into those arrays and are
     views of them.  Callers validate the arguments.
     """
@@ -332,11 +337,16 @@ def _record_blocks(
     noise_sd = np.array([sd1, -sd1, sd2, -sd2])
     gains = np.array([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
 
-    def draw(rng_sig, rng_noise, start: int, step: int):
-        # every temporary dies on return: a suspended generator holds nothing
-        z = rng_sig.standard_normal((step, 4))
+    def noise(rng_noise, step: int):
         aux = rng_noise.standard_normal((step, 4))
         aux *= noise_sd
+        return aux
+
+    def draw(pool, rng_sig, rng_noise, start: int, step: int):
+        # every temporary dies on return: a suspended generator holds nothing
+        pending = pool.submit(noise, rng_noise, step)
+        z = rng_sig.standard_normal((step, 4))
+        aux = pending.result()
         blocks = []
         for j, (source, chol) in enumerate(zip(sources, chols)):
             block = None if out is None else out[j][start : start + step]
@@ -349,18 +359,20 @@ def _record_blocks(
 
     base, extra = divmod(n, streams)
     start = 0
-    for k in range(streams):
-        m = base + (1 if k < extra else 0)
-        rng_sig = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
-        )
-        rng_noise = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
-        )
-        for done in range(0, m, _MEASURE_CHUNK):
-            step = min(_MEASURE_CHUNK, m - done)
-            yield draw(rng_sig, rng_noise, start, step)
-            start += step
+    # leaving the block, on success or failure, waits for the worker
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for k in range(streams):
+            m = base + (1 if k < extra else 0)
+            rng_sig = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
+            )
+            rng_noise = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
+            )
+            for done in range(0, m, _MEASURE_CHUNK):
+                step = min(_MEASURE_CHUNK, m - done)
+                yield draw(pool, rng_sig, rng_noise, start, step)
+                start += step
 
 
 def measure(

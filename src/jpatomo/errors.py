@@ -65,3 +65,7 @@ class RangeTooSmallError(NumericsError):
 
 class DegenerateReferenceError(NumericsError):
     """Calibration reference has zero or negative variance."""
+
+
+class NonFiniteRecordError(NumericsError):
+    """A measurement record holds an infinite or NaN quadrature."""

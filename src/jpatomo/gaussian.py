@@ -210,32 +210,3 @@ def _cholesky_with_jitter(cov: NDArray[np.float64]) -> NDArray[np.float64]:
             "covariance is not positive semi-definite (jittered Cholesky failed)"
         ) from exc
 
-
-def sample(
-    state: GaussianState, n: int, seed: int, streams: int = 1
-) -> NDArray[np.float64]:
-    """Draw n quadrature samples, shape (n, 2 n_modes), deterministically.
-
-    Samples are produced from `streams` independent PCG64 streams derived
-    from (seed, stream index) and concatenated, so the output is a pure
-    function of (seed, n, streams).  Semi-definite covariances get a 1e-12
-    diagonal jitter before factorization.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if streams < 1:
-        raise ValueError(f"streams must be >= 1, got {streams}")
-    chol = _cholesky_with_jitter(state.cov)
-    out = np.empty((n, state.dim))
-    base = n // streams
-    extra = n % streams
-    start = 0
-    for k in range(streams):
-        m = base + (1 if k < extra else 0)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-        )
-        z = rng.standard_normal((m, state.dim))
-        out[start : start + m] = state.mean + z @ chol.T
-        start += m
-    return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
     NoConvergenceError,
+    NonFiniteRecordError,
     RangeTooSmallError,
     UnphysicalStateError,
 )
@@ -54,6 +56,8 @@ PAIR_LABELS = (
 )
 
 _MOMENT_BLOCK = 1 << 20
+# Records per histogram sub-block: its index temporaries fit in L2 cache.
+_HIST_SUB = 1 << 15
 _WARN_PHYSICALITY_TOL = 1e-6
 
 
@@ -90,8 +94,11 @@ class Binning:
 
         Values exactly at the upper edge land in the last bin, so the rule is
         a pure function of (value, lo, hi, bins) and shard merges are exact.
+        An infinite or NaN value raises NonFiniteRecordError.
         """
         inside = (values >= self.lo) & (values <= self.hi)
+        if not inside.all() and not np.isfinite(values).all():
+            raise NonFiniteRecordError("records hold an infinite or NaN quadrature")
         idx = ((values - self.lo) / self.width).astype(np.int64)
         np.clip(idx, 0, self.bins - 1, out=idx)
         return idx, inside
@@ -112,6 +119,8 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     """The auto_binning rule applied to the (m, 4) prefix quadratures."""
     if prefix.shape[0] < 2:
         raise DegenerateReferenceError("need at least 2 records to choose a range")
+    if not np.isfinite(prefix).all():
+        raise NonFiniteRecordError("record prefix holds an infinite or NaN quadrature")
     sigma = float(np.max(prefix.std(axis=0)))
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DegenerateReferenceError("record prefix has no spread")
@@ -215,18 +224,26 @@ def _histogram_block(
 ) -> None:
     """Add one (m, 4) quadrature block to the six pair histograms.
 
-    All four columns are binned at once and out-of-range values go to a
-    sentinel bin `bins`; one bincount per pair over (bins + 1)^2 cells then
-    counts the pair, and the sentinel row and column hold its overflow.
+    The block is walked in sub-blocks of _HIST_SUB records, which keeps the
+    index temporaries in cache.  All four columns of a sub-block are binned
+    at once and out-of-range values go to a sentinel bin `bins`; one
+    bincount per pair over (bins + 1)^2 cells then counts the pair, and the
+    sentinel row and column hold its overflow.  A non-finite value raises
+    NonFiniteRecordError (it is checked for only in sub-blocks that hold
+    out-of-range values, before any bin index is computed).
     """
     nbins = binning.bins
-    idx, inside = binning.index(block)
-    idx[~inside] = nbins
+    side = nbins + 1
+    cells = np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
     m = block.shape[0]
-    for pair in PAIR_LABELS:
-        lin = idx[:, _AXIS_INDEX[pair[0]]] * (nbins + 1) + idx[:, _AXIS_INDEX[pair[1]]]
-        cells = np.bincount(lin, minlength=(nbins + 1) ** 2)
-        counts = cells.reshape(nbins + 1, nbins + 1)[:nbins, :nbins]
+    for start in range(0, m, _HIST_SUB):
+        idx, inside = binning.index(block[start : start + _HIST_SUB])
+        idx[~inside] = nbins
+        for p, (x, y) in enumerate(PAIR_LABELS):
+            lin = idx[:, _AXIS_INDEX[x]] * side + idx[:, _AXIS_INDEX[y]]
+            cells[p] += np.bincount(lin, minlength=side * side)
+    for pair, pair_cells in zip(PAIR_LABELS, cells):
+        counts = pair_cells.reshape(side, side)[:nbins, :nbins]
         h = hists[pair]
         h.counts += counts
         h.n_total += m
@@ -344,6 +361,10 @@ class MomentAccumulator:
     def finalize(self) -> MomentSet:
         if self.n < 2:
             raise DegenerateReferenceError("need at least 2 records for moments")
+        if not (np.isfinite(self.sums).all() and np.isfinite(self.products).all()):
+            raise NonFiniteRecordError(
+                "moment sums are not finite: a record is infinite, NaN or too large"
+            )
         mean = self.sums / self.n
         cov = self.products / self.n - np.outer(mean, mean)
         return MomentSet(mean, 0.5 * (cov + cov.T), self.n)
@@ -774,7 +795,10 @@ def estimate_from_blocks(
     (the export path), binned by the auto_binning rule on the first
     `prefix_records` pump-on records; "streaming" accumulates exact moments
     directly.  Both calibrate on the pump-off records, subtract them, and
-    fit.  Memory is one block pair plus the blocks the prefix spans.
+    fit.  Memory is one block pair plus the blocks the prefix spans.  The
+    histogram method fills the pump-off histograms on one worker thread
+    while this thread fills the pump-on ones; integer counts make the result
+    independent of that split.
     """
     if method not in ("histogram", "streaming"):
         raise ValueError("method must be 'histogram' or 'streaming'")
@@ -785,10 +809,14 @@ def estimate_from_blocks(
         binning, blocks = _binning_from_head(blocks, bins, bin_sigmas, prefix_records)
         hists_on = _empty_histograms(binning)
         hists_off = _empty_histograms(binning)
-        for on, off in blocks:
-            _histogram_block(hists_on, on, binning)
-            _histogram_block(hists_off, off, binning)
-            del on, off  # free this pair before the next one is drawn
+        # the worker fills hists_off while this thread fills hists_on; leaving
+        # the block, on success or failure, waits for the worker
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for on, off in blocks:
+                pending = pool.submit(_histogram_block, hists_off, off, binning)
+                _histogram_block(hists_on, on, binning)
+                pending.result()
+                del on, off, pending  # free this pair before the next one is drawn
         raw_on = moment_set_from_histograms(hists_on)
         raw_off = moment_set_from_histograms(hists_off)
     else:

@@ -1,16 +1,23 @@
 """Config parsing and the batch CLI: strictness, overrides, exit codes,
 per-scenario outputs, and byte-level reproducibility."""
 
+import builtins
 import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jpatomo import cli, detection
+import jpatomo
+from jpatomo import cli, detection, tomography
 from jpatomo.cli import main, run_scenario
 from jpatomo.config import (
     SCHEMA_VERSION,
@@ -332,6 +339,49 @@ def test_tomography_saved_records_equal_measured_store(tmp_path, monkeypatch):
         assert raw == batch.quadratures().astype("<f8").tobytes()
         loaded = RecordBatch.load_binary(tmp_path / f"records_{setting}.bin")
         assert np.array_equal(loaded.s1, batch.s1) and np.array_equal(loaded.s2, batch.s2)
+
+
+def test_pump_off_histogram_failure_closes_files_and_joins_workers(tmp_path, monkeypatch):
+    cfg = small_run(save_records=True)
+    kernel = tomography._histogram_block
+
+    def failing(hists, block, binning):
+        # the pump-off histograms are filled off the main thread
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("pump-off histogram failed")
+        kernel(hists, block, binning)
+
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tomography, "_histogram_block", failing)
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="pump-off histogram failed"):
+        run_scenario("tomography", cfg, tmp_path / "failed")
+    assert threading.active_count() == threads
+    assert {Path(fh.name).name for fh in opened} >= {"records_on.bin", "records_off.bin"}
+    assert all(fh.closed for fh in opened)
+
+    monkeypatch.undo()
+    run_scenario("tomography", cfg, tmp_path / "again")
+    assert threading.active_count() == threads
+    save_config(cfg, tmp_path / "cfg.json")
+    src = str(Path(jpatomo.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-m", "jpatomo", "--config", str(tmp_path / "cfg.json"),
+         "--out", str(tmp_path / "fresh")],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    for name in ("covariance.json", "records_on.bin", "records_off.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (
+            tmp_path / "fresh" / name
+        ).read_bytes()
 
 
 def test_tomography_device_state_source(tmp_path):

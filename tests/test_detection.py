@@ -25,10 +25,12 @@ from jpatomo.device import (
 )
 from jpatomo.errors import (
     InternalConsistencyError,
+    InvalidCovarianceError,
     InvalidGridError,
     UnsupportedFilterError,
 )
 from jpatomo.gaussian import (
+    GaussianState,
     _cholesky_with_jitter,
     tms_theory_covariance,
     two_mode_squeeze,
@@ -405,6 +407,22 @@ def test_measure_validation():
 def test_measure_zero_records():
     batch = measure(vacuum_state(2), DetectionConfig(), 0, seed=0)
     assert len(batch) == 0
+
+
+def test_measure_semidefinite_jitter_and_rejection():
+    cfg = DetectionConfig()
+    semi = GaussianState(2, np.zeros(4), np.diag([1.0, 0.0, 1.0, 0.0]))
+    records = measure(semi, cfg, 100, seed=0).quadratures()
+    assert records.shape == (100, 4) and np.all(np.isfinite(records))
+    # Records are linear in the Cholesky diagonal over shared draws, so the
+    # zero-variance P quadratures carry only the 1e-12 jitter's 1e-6 scale.
+    vac = measure(semi, cfg, 100, seed=0, pump_on=False).quadratures()
+    unit = measure(GaussianState(2, np.zeros(4), np.eye(4)), cfg, 100, seed=0)
+    linear = 2.0 * vac - unit.quadratures()
+    np.testing.assert_allclose(records[:, 1::2], linear[:, 1::2], rtol=0, atol=1e-5)
+    indefinite = GaussianState(2, np.zeros(4), np.diag([1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(InvalidCovarianceError):
+        measure(indefinite, cfg, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

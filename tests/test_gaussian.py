@@ -1,4 +1,4 @@
-"""Gaussian-core oracles: closed forms, a scipy expm cross-check, sampling."""
+"""Gaussian-core oracles: closed forms and a scipy expm cross-check."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from jpatomo.errors import InvalidCovarianceError, SingularCovarianceError
+from jpatomo.errors import SingularCovarianceError
 from jpatomo.gaussian import (
     GaussianState,
     add_thermal_noise,
     is_physical,
     marginal,
-    sample,
     symplectic_form,
     tms_theory_covariance,
     two_mode_squeeze,
@@ -232,43 +231,3 @@ def test_state_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         GaussianState(2, np.zeros(4), bad)
-
-
-def test_sample_moments_converge():
-    n = 200_000
-    state = tms_theory_covariance(1.0, 0.1)
-    draws = sample(state, n, seed=123)
-    emp = np.cov(draws.T, bias=True)
-    tol = 5.0 * np.sqrt(2.0 / n)
-    for i in range(4):
-        for j in range(4):
-            target = state.cov[i, j]
-            scale = np.sqrt(state.cov[i, i] * state.cov[j, j])
-            assert abs(emp[i, j] - target) <= tol * scale
-
-
-def test_sample_deterministic_and_stream_contract():
-    state = tms_theory_covariance(0.8)
-    a = sample(state, 1001, seed=42)
-    b = sample(state, 1001, seed=42)
-    np.testing.assert_array_equal(a, b)
-    c = sample(state, 1001, seed=43)
-    assert not np.array_equal(a, c)
-    # Fixed (seed, stream-count) pins the concatenated output.
-    d = sample(state, 1001, seed=42, streams=4)
-    e = sample(state, 1001, seed=42, streams=4)
-    np.testing.assert_array_equal(d, e)
-    assert d.shape == (1001, 4)
-
-
-def test_sample_semidefinite_jitter_and_rejection():
-    semi = GaussianState(1, np.zeros(2), np.diag([1.0, 0.0]))
-    draws = sample(semi, 100, seed=0)
-    assert np.allclose(draws[:, 1], 0.0, atol=1e-5)
-    indefinite = GaussianState(1, np.zeros(2), np.diag([1.0, -1.0]))
-    with pytest.raises(InvalidCovarianceError):
-        sample(indefinite, 10, seed=0)
-
-
-def test_sample_zero_records():
-    assert sample(vacuum_state(2), 0, seed=1).shape == (0, 4)

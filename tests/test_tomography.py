@@ -1,17 +1,22 @@
 """Histogramming, moment extraction, calibration, deconvolution, fitting."""
 
 import json
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jpatomo import tomography
 from jpatomo.detection import DetectionConfig, RecordBatch, measure
 from jpatomo.errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
+    NonFiniteRecordError,
+    NumericsError,
     RangeTooSmallError,
     UnphysicalStateError,
 )
@@ -29,6 +34,7 @@ from jpatomo.tomography import (
     auto_binning,
     calibrate,
     deconvolve,
+    estimate_from_blocks,
     estimate_state,
     fit_squeezing,
     moment_set_from_histograms,
@@ -150,6 +156,94 @@ def test_histogram_merge_is_bin_exact_across_shards():
         np.testing.assert_array_equal(merged.counts, whole[pair].counts)
         assert merged.n_total == whole[pair].n_total
         assert merged.overflow == whole[pair].overflow
+
+
+@pytest.mark.parametrize("sub", [3, 4096, 1 << 20])
+def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
+    binning = Binning(-1.0, 1.0, bins=8)
+    rng = np.random.default_rng(12)
+    q = rng.uniform(-1.2, 1.2, size=(10_007, 4))
+    edges = [binning.lo, binning.hi]
+    edges += [np.nextafter(binning.lo, -np.inf), np.nextafter(binning.hi, np.inf)]
+    for row, value in enumerate(edges):
+        q[row * 2501, row % 4] = value
+        q[row * 2501 + 1] = value
+    hists = tomography._empty_histograms(binning)
+    monkeypatch.setattr(tomography, "_HIST_SUB", sub)
+    tomography._histogram_block(hists, q, binning)
+
+    idx, inside = binning.index(q)
+    for pair, h in hists.items():
+        a, b = tomography._AXIS_INDEX[pair[0]], tomography._AXIS_INDEX[pair[1]]
+        kept = inside[:, a] & inside[:, b]
+        ref = np.zeros((8, 8), np.int64)
+        np.add.at(ref, (idx[kept, a], idx[kept, b]), 1)
+        np.testing.assert_array_equal(h.counts, ref)
+        assert (h.n_total, h.overflow) == (q.shape[0], q.shape[0] - int(kept.sum()))
+    # rows at lo and hi land in the first and last bins
+    assert hists[("X1", "P1")].counts[0, 0] >= 1 and hists[("X1", "P1")].counts[7, 7] >= 1
+
+
+def _threaded_estimate_matches_serial_kernel(seed):
+    state = two_mode_squeeze(vacuum_state(2), 1.0)
+    cfg = DetectionConfig(n_noise=0.0)  # a quiet chain keeps the estimate physical
+    on = measure(state, cfg, 80_000, seed=seed).quadratures()
+    off = measure(state, cfg, 80_000, seed=seed, pump_on=False).quadratures()
+    pairs = ((on[k : k + 997], off[k : k + 997]) for k in range(0, 80_000, 997))
+    est = estimate_from_blocks(pairs, cfg.noise_pair)
+    for records, hists in ((on, est.histograms_on), (off, est.histograms_off)):
+        ref = tomography._empty_histograms(est.binning)
+        tomography._histogram_block(ref, records, est.binning)
+        for pair in PAIR_LABELS:
+            assert np.array_equal(hists[pair].counts, ref[pair].counts)
+            assert (hists[pair].n_total, hists[pair].overflow) == (
+                ref[pair].n_total,
+                ref[pair].overflow,
+            )
+    return True
+
+
+@pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
+def test_threaded_histograms_under_contention_equal_serial_kernel():
+    # four concurrent estimates (eight threads on fewer cores), switching
+    # threads as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(_threaded_estimate_matches_serial_kernel, s) for s in range(4)]
+            assert all(run.result(timeout=120) for run in runs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+@pytest.mark.parametrize("row", [5, 15_000])  # inside / after the 10^4 prefix
+@pytest.mark.parametrize("setting", ["on", "off"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_estimate_state_rejects_non_finite_records(method, row, setting, value):
+    state = two_mode_squeeze(vacuum_state(2), 1.0)
+    cfg = DetectionConfig()
+    on = measure(state, cfg, 20_000, seed=17).quadratures().copy()
+    off = measure(state, cfg, 20_000, seed=17, pump_on=False).quadratures().copy()
+    (on if setting == "on" else off)[row, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteRecordError):
+            estimate_state(on, off, cfg.noise_pair, method=method)
+
+
+def test_auto_binning_and_moments_reject_non_finite_records():
+    assert issubclass(NonFiniteRecordError, NumericsError)  # CLI exit code 3
+    q = np.ones((50, 4))
+    q[::2] = -1.0
+    q[7, 1] = np.nan
+    with pytest.raises(NonFiniteRecordError):
+        auto_binning(batch_from_quadratures(q))
+    with pytest.raises(NonFiniteRecordError):
+        accumulate_histograms(q, Binning(-2.0, 2.0, 8))
+    with pytest.raises(NonFiniteRecordError):
+        accumulate_moments(q)
 
 
 def test_histogram_merge_rejects_mismatches():
