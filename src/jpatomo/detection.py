@@ -11,9 +11,13 @@ thermal auxiliary mode carrying the detection-chain noise.
 
 from __future__ import annotations
 
+import contextlib
+import operator
+import threading
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -241,16 +245,32 @@ class DetectionConfig:
         return (self.n_noise, n2)
 
 
+class _Recipe(NamedTuple):
+    """What a deferred RecordBatch draws: `_record_blocks((source,), ...)`."""
+
+    source: GaussianState
+    config: DetectionConfig
+    n: int
+    seed: int
+    streams: int
+
+
 class RecordBatch:
-    """Measurement records held as one C-contiguous (n, 4) float64 store.
+    """Measurement records as one C-contiguous (n, 4) float64 store.
 
     The columns are the measured quadratures (X1, P1, X2, P2), i.e.
     (Re s1, Im s1, Re s2, Im s2).  The complex channel samples `s1` and `s2`
     are views of the store, and `quadratures()` and `chunks()` return the
     store or slices of it; all of them are read-only.
+
+    A batch from `measure` is a recipe: it draws nothing until it is read.
+    `quadratures()`, `s1` and `s2` draw the store on first use and keep it.
+    Until then `chunks()` at the default size (and so `save_binary` and the
+    tomography accumulators) draws block by block in O(chunk) memory, and
+    `len()` reads nothing.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "_recipe", "_lock")
 
     def __init__(self, s1: NDArray[np.complex128], s2: NDArray[np.complex128]):
         s1 = np.asarray(s1, dtype=np.complex128)
@@ -260,41 +280,79 @@ class RecordBatch:
         pairs = np.empty((s1.size, 2), dtype=np.complex128)
         pairs[:, 0] = s1
         pairs[:, 1] = s2
-        self._store = pairs.view(np.float64)
-        self._store.setflags(write=False)
+        self._init(pairs.view(np.float64), None)
 
     @classmethod
     def _wrap(cls, store: NDArray[np.float64]) -> "RecordBatch":
         """Adopt an (n, 4) C-contiguous float64 store without copying."""
         batch = cls.__new__(cls)
-        store.setflags(write=False)
-        batch._store = store
+        batch._init(store, None)
         return batch
+
+    @classmethod
+    def _deferred(cls, recipe: _Recipe) -> "RecordBatch":
+        """A batch whose records `recipe` draws on first read."""
+        batch = cls.__new__(cls)
+        batch._init(None, recipe)
+        return batch
+
+    def _init(self, store: NDArray[np.float64] | None, recipe: _Recipe | None) -> None:
+        if store is not None:
+            store.setflags(write=False)
+        self._store = store
+        self._recipe = recipe
+        self._lock = threading.Lock()  # the store is drawn at most once
+
+    def __getstate__(self):
+        return self._store, self._recipe
+
+    def __setstate__(self, state) -> None:
+        self._init(*state)
+
+    def _blocks(self, out=None) -> Iterator[tuple[NDArray[np.float64], ...]]:
+        r = self._recipe
+        return _record_blocks((r.source,), r.config, r.n, r.seed, r.streams, out=out)
 
     @property
     def s1(self) -> NDArray[np.complex128]:
-        return self._store.view(np.complex128)[:, 0]
+        return self.quadratures().view(np.complex128)[:, 0]
 
     @property
     def s2(self) -> NDArray[np.complex128]:
-        return self._store.view(np.complex128)[:, 1]
+        return self.quadratures().view(np.complex128)[:, 1]
 
     def __len__(self) -> int:
-        return self._store.shape[0]
+        return self._store.shape[0] if self._recipe is None else self._recipe.n
 
     def quadratures(self) -> NDArray[np.float64]:
         """Measured quadratures as columns (X1, P1, X2, P2)."""
+        with self._lock:
+            if self._store is None:
+                store = np.empty((len(self), 4))
+                for _ in self._blocks(out=(store,)):
+                    pass
+                store.setflags(write=False)
+                self._store = store
         return self._store
 
     def chunks(self, size: int | None = None) -> Iterator[NDArray[np.float64]]:
         """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK)."""
+        if self._store is None and size in (None, _MEASURE_CHUNK):
+            with contextlib.closing(self._blocks()) as blocks:
+                for (block,) in blocks:
+                    block.setflags(write=False)
+                    yield block
+            return
+        store = self.quadratures()
         size = _MEASURE_CHUNK if size is None else size
-        for start in range(0, len(self), size):
-            yield self._store[start : start + size]
+        for start in range(0, len(store), size):
+            yield store[start : start + size]
 
     def save_binary(self, path) -> None:
         """Little-endian float64 stream, record-major, columns (X1, P1, X2, P2)."""
-        self._store.astype("<f8", copy=False).tofile(path)
+        with open(path, "wb") as fh:
+            for block in self.chunks():
+                block.astype("<f8", copy=False).tofile(fh)
 
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
@@ -302,6 +360,26 @@ class RecordBatch:
         if raw.size % 4 != 0:
             raise ValueError("binary record stream length is not a multiple of 4")
         return cls._wrap(raw.reshape(-1, 4).astype(np.float64, copy=False))
+
+
+def _paired_record_blocks(
+    records_on: RecordBatch, records_off: RecordBatch
+) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64]]] | None:
+    """(pump-on, pump-off) block pairs from one set of draws, or None.
+
+    Two unread recipes that differ only in their source share every draw, so
+    one `_record_blocks` pass yields both; any other pair returns None.
+    """
+    for batch in (records_on, records_off):
+        if not isinstance(batch, RecordBatch) or batch._store is not None:
+            return None
+    on, off = records_on._recipe, records_off._recipe
+    # np.array_equal: a seed may also be a sequence of ints
+    if (on.config, on.n, on.streams) != (off.config, off.n, off.streams) or not (
+        np.array_equal(on.seed, off.seed)
+    ):
+        return None
+    return _record_blocks((on.source, off.source), on.config, on.n, on.seed, on.streams)
 
 
 def _record_blocks(
@@ -316,15 +394,18 @@ def _record_blocks(
 
     The n records split into `streams` contiguous partitions; partition k
     draws its signal normals z from spawn key (k, 0) and its auxiliary-noise
-    normals from spawn key (k, 1), in chunks of at most _MEASURE_CHUNK
-    records.  Each chunk is drawn once and yields one C-contiguous (m, 4)
-    block per source,
+    normals from spawn key (k, 1), in record order.  The blocks lie on one
+    global grid of _MEASURE_CHUNK records counted from record 0, whatever
+    `streams` is: a partition boundary splits a block's draw, never the
+    block, so the blocks equal `RecordBatch.chunks()` of the stored records.
+    Each block is drawn once and yields one C-contiguous (m, 4) block per
+    source,
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
 
     whose columns are (Re S1, Im S1, Re S2, Im S2).  While this thread draws
-    a chunk's z, one worker thread (owned by this generator and joined when
-    it finishes or is closed) draws the same chunk's aux and scales it by
+    a block's z, one worker thread (owned by this generator and joined when
+    it finishes or is closed) draws the same block's aux and scales it by
     the noise deviations; each generator is read in order by one thread, so
     the blocks are bit-identical to a serial draw.  With `out` (one (n, 4)
     array per source) the blocks are written into those arrays and are
@@ -337,19 +418,47 @@ def _record_blocks(
     noise_sd = np.array([sd1, -sd1, sd2, -sd2])
     gains = np.array([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
 
-    def noise(rng_noise, step: int):
-        aux = rng_noise.standard_normal((step, 4))
+    def rngs(channel: int) -> list[np.random.Generator]:
+        return [
+            np.random.Generator(
+                np.random.PCG64(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(k, channel))
+                )
+            )
+            for k in range(streams)
+        ]
+
+    rngs_sig, rngs_noise = rngs(0), rngs(1)
+    base, extra = divmod(n, streams)
+    # partition k holds records [first[k], first[k + 1])
+    first = [k * base + min(k, extra) for k in range(streams + 1)]
+
+    def fill(generators, parts, step: int):
+        values = np.empty((step, 4))
+        for k, lo, hi in parts:
+            generators[k].standard_normal(out=values[lo:hi])
+        return values
+
+    def noise(parts, step: int):
+        aux = fill(rngs_noise, parts, step)
         aux *= noise_sd
         return aux
 
-    def draw(pool, rng_sig, rng_noise, start: int, step: int):
+    def draw(pool, start: int, step: int):
         # every temporary dies on return: a suspended generator holds nothing
-        pending = pool.submit(noise, rng_noise, step)
-        z = rng_sig.standard_normal((step, 4))
+        stop = start + step
+        # rows [lo, hi) of the block come from partition k
+        k = bisect_right(first, start) - 1
+        parts = []
+        while first[k] < stop:
+            parts.append((k, max(first[k], start) - start, min(first[k + 1], stop) - start))
+            k += 1
+        pending = pool.submit(noise, parts, step)
+        z = fill(rngs_sig, parts, step)
         aux = pending.result()
         blocks = []
         for j, (source, chol) in enumerate(zip(sources, chols)):
-            block = None if out is None else out[j][start : start + step]
+            block = None if out is None else out[j][start:stop]
             block = np.matmul(z, chol.T, out=block)
             block += source.mean
             block += aux
@@ -357,22 +466,10 @@ def _record_blocks(
             blocks.append(block)
         return tuple(blocks)
 
-    base, extra = divmod(n, streams)
-    start = 0
     # leaving the block, on success or failure, waits for the worker
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for k in range(streams):
-            m = base + (1 if k < extra else 0)
-            rng_sig = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 0)))
-            )
-            rng_noise = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, 1)))
-            )
-            for done in range(0, m, _MEASURE_CHUNK):
-                step = min(_MEASURE_CHUNK, m - done)
-                yield draw(pool, rng_sig, rng_noise, start, step)
-                start += step
+        for start in range(0, n, _MEASURE_CHUNK):
+            yield draw(pool, start, min(_MEASURE_CHUNK, n - start))
 
 
 def measure(
@@ -383,7 +480,7 @@ def measure(
     pump_on: bool = True,
     streams: int = 1,
 ) -> RecordBatch:
-    """Synthesize n heterodyne records from the two-mode state.
+    """Heterodyne records of the two-mode state, drawn on first read.
 
     With the pump off the signal is replaced by vacuum.  The underlying
     standard-normal streams depend only on (seed, streams), *not* on the
@@ -392,15 +489,22 @@ def measure(
     then cancels far more estimator variance than independent references
     would (the simulated analogue of an interleaved calibration).  Output is
     deterministic for fixed (seed, n, streams).
+
+    The arguments are checked, and the source covariance factored, here; the
+    returned RecordBatch is a recipe that draws its records when read (see
+    RecordBatch).  `estimate_state` draws a same-seed pump-on/pump-off pair
+    of unread recipes once, for both.
     """
     if state.n_modes != 2:
         raise ValueError("measure requires a 2-mode state")
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
+    streams = operator.index(streams)
     if streams < 1:
         raise ValueError("streams must be >= 1")
     source = state if pump_on else vacuum_state(2)
-    store = np.empty((n, 4))
-    for _ in _record_blocks((source,), config, n, seed, streams, out=(store,)):
-        pass
-    return RecordBatch._wrap(store)
+    # fail here, not at the first read: a covariance with no factor, a bad seed
+    _cholesky_with_jitter(source.cov)
+    np.random.SeedSequence(entropy=seed)
+    return RecordBatch._deferred(_Recipe(source, config, n, seed, streams))

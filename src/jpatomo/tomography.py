@@ -12,6 +12,7 @@ processed in shards.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import warnings
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .detection import RecordBatch
+from .detection import RecordBatch, _paired_record_blocks
 from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
@@ -110,9 +111,13 @@ def auto_binning(
     sigmas: float = 6.0,
     prefix_records: int = 10_000,
 ) -> Binning:
-    """Square range +-sigmas * (largest per-axis std of a record prefix)."""
-    m = max(min(len(batch), prefix_records), 0)
-    return _prefix_binning(batch.quadratures()[:m], bins, sigmas)
+    """Square range +-sigmas * (largest per-axis std of a record prefix).
+
+    Only the blocks that hold the prefix are read.
+    """
+    with contextlib.closing(batch.chunks()) as blocks:
+        binning, _ = _binning_from_head(zip(blocks), bins, sigmas, prefix_records)
+    return binning
 
 
 def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Binning:
@@ -253,8 +258,9 @@ def _histogram_block(
 def accumulate_histograms(records, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
     hists = _empty_histograms(binning)
-    for block in _iter_quadrature_blocks(records):
-        _histogram_block(hists, block, binning)
+    with contextlib.closing(_iter_quadrature_blocks(records)) as blocks:
+        for block in blocks:
+            _histogram_block(hists, block, binning)
     return hists
 
 
@@ -372,8 +378,9 @@ class MomentAccumulator:
 
 def accumulate_moments(records) -> MomentSet:
     acc = MomentAccumulator()
-    for block in _iter_quadrature_blocks(records):
-        acc.update(block)
+    with contextlib.closing(_iter_quadrature_blocks(records)) as blocks:
+        for block in blocks:
+            acc.update(block)
     return acc.finalize()
 
 
@@ -746,27 +753,42 @@ def estimate_state(
     prefix_records: int = 10_000,
     grid: WignerGrid | None = None,
 ) -> EstimationResult:
-    """Records to reconstructed state in one call (see estimate_from_blocks)."""
-    blocks = zip_longest(
-        _iter_quadrature_blocks(records_on),
-        _iter_quadrature_blocks(records_off),
-        fillvalue=np.empty((0, 4)),
-    )
-    return estimate_from_blocks(
-        blocks,
-        n_noise,
-        method=method,
-        bins=bins,
-        bin_sigmas=bin_sigmas,
-        prefix_records=prefix_records,
-        grid=grid,
-    )
+    """Records to reconstructed state in one call (see estimate_from_blocks).
+
+    A pump-on/pump-off pair of unread `measure` recipes that differ only in
+    the pump setting is drawn once, for both, in O(chunk) memory; any other
+    pair streams each side's blocks.
+    """
+    with contextlib.closing(_paired_blocks(records_on, records_off)) as blocks:
+        return estimate_from_blocks(
+            blocks,
+            n_noise,
+            method=method,
+            bins=bins,
+            bin_sigmas=bin_sigmas,
+            prefix_records=prefix_records,
+            grid=grid,
+        )
+
+
+def _paired_blocks(records_on, records_off):
+    """(pump-on, pump-off) quadrature block pairs; a matched recipe pair is
+    drawn once."""
+    fused = _paired_record_blocks(records_on, records_off)
+    if fused is not None:
+        yield from fused
+        return
+    with (
+        contextlib.closing(_iter_quadrature_blocks(records_on)) as on,
+        contextlib.closing(_iter_quadrature_blocks(records_off)) as off,
+    ):
+        yield from zip_longest(on, off, fillvalue=np.empty((0, 4)))
 
 
 def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
-    """Binning from the first `prefix_records` pump-on records, and an
-    iterator over all block pairs (the buffered head first, released as it
-    is consumed)."""
+    """Binning from the first `prefix_records` pump-on records (the first
+    block of each tuple), and an iterator over all block tuples (the
+    buffered head first, released as it is consumed)."""
     head = []
     n_head = 0
     for on_off in blocks:
@@ -775,7 +797,7 @@ def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
         if n_head >= prefix_records:
             break
     m = max(min(n_head, prefix_records), 0)
-    prefix = np.concatenate([on[:m] for on, _ in head] + [np.empty((0, 4))])
+    prefix = np.concatenate([on_off[0][:m] for on_off in head] + [np.empty((0, 4))])
     return _prefix_binning(prefix[:m], bins, sigmas), chain(iter(head), blocks)
 
 

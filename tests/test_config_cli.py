@@ -212,7 +212,7 @@ def test_psd_outputs(tmp_path):
     header, data = read_csv(tmp_path / "psd.csv")
     assert header == ["delta_hz", "s_true", "s_noisy", "s_fit"]
     assert data.shape[0] == default_config().run.psd_points
-    fit = json.load(open(tmp_path / "psd_fit.json"))
+    fit = json.loads((tmp_path / "psd_fit.json").read_text())
     assert fit["g0"] == pytest.approx(100.0, abs=2.0)
     assert fit["n_noise"] == pytest.approx(69.0, abs=0.5)
     assert manifest["results"]["true_g0"] == 100.0
@@ -236,13 +236,13 @@ def test_tomography_outputs(tmp_path):
     }
     assert names == expected
 
-    cov = json.load(open(tmp_path / "covariance.json"))
+    cov = json.loads((tmp_path / "covariance.json").read_text())
     v = np.array(cov["v"]).reshape(4, 4)
     assert np.allclose(v, v.T)
     assert cov["r_fit_pure"] == pytest.approx(1.78, abs=0.05)
     assert manifest["results"]["predicted_r"] == pytest.approx(1.75, abs=1e-9)
 
-    envelope = json.load(open(tmp_path / "histograms.json"))
+    envelope = json.loads((tmp_path / "histograms.json").read_text())
     assert envelope["bins"] == cfg.run.bins
     assert set(envelope["pump_on"]) == set(envelope["pump_off"])
     one = envelope["pump_on"]["x1_x2"]
@@ -406,7 +406,7 @@ def test_manifest_fields(tmp_path):
     assert manifest["wall_clock_s"] > 0
     for digest in manifest["outputs"].values():
         assert len(digest) == 64
-    disk = json.load(open(tmp_path / "manifest.json"))
+    disk = json.loads((tmp_path / "manifest.json").read_text())
     assert disk == manifest
 
 
@@ -432,7 +432,7 @@ def test_cli_seed_and_records_override(tmp_path):
     manifest = read_manifest(out)
     assert manifest["seed"] == 123
     assert manifest["results"]["n_records"] == 3000
-    cfg = json.load(open(out / "config.json"))
+    cfg = json.loads((out / "config.json").read_text())
     assert cfg["run"]["seed"] == 123
     assert cfg["run"]["n_records"] == 3000
 

@@ -402,6 +402,11 @@ def test_measure_validation():
         measure(state, cfg, -1, seed=0)
     with pytest.raises(ValueError):
         measure(state, cfg, 10, seed=0, streams=0)
+    # checked at the call, not when the records are first read
+    with pytest.raises(TypeError):
+        measure(state, cfg, 10.5, seed=0)
+    with pytest.raises(ValueError):
+        measure(state, cfg, 10, seed=-1)
 
 
 def test_measure_zero_records():
@@ -453,6 +458,35 @@ def test_record_batch_binary_roundtrip(tmp_path):
     back = RecordBatch.load_binary(path)
     np.testing.assert_array_equal(back.s1, batch.s1)
     np.testing.assert_array_equal(back.s2, batch.s2)
+
+
+def test_recipe_draws_its_store_once_and_len_reads_nothing(draws):
+    batch = measure(two_mode_squeeze(vacuum_state(2), 1.0), DetectionConfig(), 1000, seed=2)
+    assert len(batch) == 1000 and draws == []
+    store = batch.quadratures()
+    assert batch.quadratures() is store and not store.flags.writeable
+    assert np.shares_memory(batch.s1, store) and np.shares_memory(batch.s2, store)
+    assert draws == [1]
+
+
+def test_unread_recipe_streams_chunks_and_binary_on_the_global_grid(
+    tmp_path, monkeypatch, draws
+):
+    # three partitions of 4098 records: every partition boundary falls inside a block
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    n = 3 * 4096 + 7
+    store = measure(state, cfg, n, seed=4, streams=3).quadratures()
+    recipe = measure(state, cfg, n, seed=4, streams=3)
+    blocks = list(recipe.chunks())
+    assert [b.shape[0] for b in blocks] == [4096, 4096, 4096, 7]
+    for got, want in zip(blocks, RecordBatch._wrap(store.copy()).chunks(), strict=True):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    recipe.save_binary(tmp_path / "records.bin")
+    assert (tmp_path / "records.bin").read_bytes() == store.astype("<f8").tobytes()
+    assert recipe._store is None
+    assert draws == [4, 4, 4]
 
 
 def test_record_batch_binary_rejects_truncated_stream(tmp_path):

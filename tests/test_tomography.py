@@ -1,7 +1,9 @@
 """Histogramming, moment extraction, calibration, deconvolution, fitting."""
 
+import dataclasses
 import json
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpatomo import tomography
+from jpatomo import detection, tomography
 from jpatomo.detection import DetectionConfig, RecordBatch, measure
 from jpatomo.errors import (
     DegenerateReferenceError,
@@ -96,6 +98,18 @@ def test_auto_binning_rejects_degenerate_prefix():
         auto_binning(batch_from_quadratures(q))
     with pytest.raises(DegenerateReferenceError):
         auto_binning(batch_from_quadratures(np.zeros((1, 4))))
+
+
+def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draws):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    state = two_mode_squeeze(vacuum_state(2), 1.0)
+    stored = measure(state, DetectionConfig(), 10 * 4096, seed=9, streams=3)
+    copy = RecordBatch._wrap(stored.quadratures().copy())
+    recipe = measure(state, DetectionConfig(), 10 * 4096, seed=9, streams=3)
+    assert auto_binning(recipe) == auto_binning(copy)
+    assert recipe._store is None
+    # the store, then the three 4096-record blocks the 10^4-record prefix spans
+    assert draws == [10, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -630,3 +644,114 @@ def test_estimate_state_validates_method():
     batch = measure(vacuum_state(2), DetectionConfig(), 100, seed=1)
     with pytest.raises(ValueError):
         estimate_state(batch, batch, 69.0, method="bogus")
+
+
+# ---------------------------------------------------------------------------
+# measure recipes: a same-seed pump-on/pump-off pair is drawn once
+
+_SMALL_CHUNK = 4096
+# low added noise, so that 10^4 records already give a physical estimate
+_LOW_NOISE = DetectionConfig(n_noise=2.0, n_noise_ch2=3.0)
+
+
+def _estimate_or_error(on, off, method):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return estimate_state(on, off, _LOW_NOISE.noise_pair, method=method)
+    except NumericsError as exc:
+        return exc
+
+
+def _assert_same_estimate(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.tomography.v == want.tomography.v).all()
+    assert got.scale_factors == want.scale_factors
+    for setting in ("moments_on", "moments_off"):
+        a, b = getattr(got, setting), getattr(want, setting)
+        assert (a.mean == b.mean).all() and (a.cov == b.cov).all() and a.n == b.n
+    assert got.binning == want.binning
+    for setting in ("histograms_on", "histograms_off"):
+        a, b = getattr(got, setting), getattr(want, setting)
+        assert (a is None) == (b is None)
+        for pair in PAIR_LABELS if a is not None else ():
+            assert (a[pair].counts == b[pair].counts).all()
+            assert (a[pair].n_total, a[pair].overflow) == (b[pair].n_total, b[pair].overflow)
+
+
+def _stored_copy(state, pump_on, **kwargs):
+    records = measure(state, pump_on=pump_on, **kwargs).quadratures()
+    return RecordBatch._wrap(records.copy())
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("n", [2, 10_000 - 1, 3 * _SMALL_CHUNK + 7])
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+def test_recipe_pair_estimate_equals_stored_copies(monkeypatch, draws, method, n, streams):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    state = tms_theory_covariance(1.0, 0.0)
+    args = dict(config=_LOW_NOISE, n=n, seed=20261018, streams=streams)
+    want = _estimate_or_error(
+        _stored_copy(state, True, **args), _stored_copy(state, False, **args), method
+    )
+    del draws[:]
+    on = measure(state, pump_on=True, **args)
+    off = measure(state, pump_on=False, **args)
+    _assert_same_estimate(_estimate_or_error(on, off, method), want)
+    assert len(draws) == 1
+    assert n == 2 or not isinstance(want, Exception)
+
+
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+@pytest.mark.parametrize("differ", ["seed", "n", "streams", "config", "read"])
+def test_unmatched_recipe_pair_draws_each_side(draws, method, differ):
+    # a mixed state: independent pump-on/pump-off draws still give a physical estimate
+    state = tms_theory_covariance(1.0, 0.5)
+    on_args = dict(config=_LOW_NOISE, n=20_000, seed=3, streams=1)
+    off_args = dict(on_args)
+    if differ in ("seed", "n", "streams"):
+        off_args[differ] += 1
+    elif differ == "config":
+        off_args["config"] = dataclasses.replace(_LOW_NOISE, gain_ch2=1.03)
+    want = _estimate_or_error(
+        _stored_copy(state, True, **on_args), _stored_copy(state, False, **off_args), method
+    )
+    del draws[:]
+    on = measure(state, pump_on=True, **on_args)
+    off = measure(state, pump_on=False, **off_args)
+    if differ == "read":
+        off.quadratures()
+    _assert_same_estimate(_estimate_or_error(on, off, method), want)
+    assert not isinstance(want, Exception)
+    assert len(draws) == 2
+
+
+def test_failed_recipe_estimate_joins_the_draw_worker(monkeypatch):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    state = tms_theory_covariance(1.0, 0.0)
+    on = measure(state, _LOW_NOISE, 3 * _SMALL_CHUNK + 7, seed=5)
+    off = measure(state, _LOW_NOISE, 3 * _SMALL_CHUNK + 7, seed=5, pump_on=False)
+    update = MomentAccumulator.update
+    calls = []
+
+    def failing_update(self, block):
+        calls.append(block.shape[0])
+        if len(calls) == 3:  # the pump-on half of the second block pair
+            raise RuntimeError("update failed")
+        return update(self, block)
+
+    monkeypatch.setattr(MomentAccumulator, "update", failing_update)
+    before = threading.active_count()
+    # the traceback stays alive: the worker must be joined before the error
+    # reaches the caller, not when the failed frames are freed
+    with pytest.raises(RuntimeError, match="update failed") as failed_estimate:
+        estimate_state(on, off, _LOW_NOISE.noise_pair, method="streaming")
+    assert threading.active_count() == before
+    del calls[:]
+    with pytest.raises(RuntimeError, match="update failed") as failed_moments:
+        accumulate_moments(on)
+    assert threading.active_count() == before
+    assert failed_estimate.traceback and failed_moments.traceback
+    assert on._store is None and off._store is None
