@@ -2,37 +2,37 @@
 """Run every scenario from the packaged defaults into one output tree.
 
 Each scenario lands in <out>/<scenario>/ with its own manifest.json.  Pass
---records to shrink the tomography run for a quick look.
+--records to shrink the tomography run for a quick look.  Each scenario runs
+through the `jpatomo` command line, so a bad override or a failed scenario
+stops the script with the same exit code: 2 configuration error, 3
+numerical failure, 4 I/O failure.
 """
 
 import argparse
-import dataclasses
 import sys
 
-from jpatomo.cli import run_scenario
-from jpatomo.config import SCENARIOS, default_config
+from jpatomo import cli
+from jpatomo.config import SCENARIOS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="root output directory")
-    parser.add_argument("--seed", type=int, help="override run.seed")
-    parser.add_argument("--records", type=int, help="override run.n_records")
+    parser.add_argument("--seed", help="override run.seed")
+    parser.add_argument("--records", help="override run.n_records")
     args = parser.parse_args(argv)
 
-    cfg = default_config()
-    overrides = {}
+    overrides = []
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides += ["--seed", args.seed]
     if args.records is not None:
-        overrides["n_records"] = args.records
-    if overrides:
-        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, **overrides))
-
+        overrides += ["--records", args.records]
     for scenario in SCENARIOS:
-        manifest = run_scenario(scenario, cfg, f"{args.out}/{scenario}")
-        print(f"{scenario}: {len(manifest['outputs'])} files, "
-              f"{manifest['wall_clock_s']:.2f}s")
+        code = cli.main(
+            ["--scenario", scenario, "--out", f"{args.out}/{scenario}", *overrides]
+        )
+        if code:
+            return code
     return 0
 
 

@@ -34,6 +34,9 @@ FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
 _NORMALIZATION_TOL = 1e-10
 _MEASURE_CHUNK = 1 << 20
+# Records per row block of a record block's build and of the histogram kernel
+# (tomography imports it): a row block's temporaries stay in L2 cache.
+_HIST_SUB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -406,10 +409,12 @@ def _record_blocks(
     whose columns are (Re S1, Im S1, Re S2, Im S2).  While this thread draws
     a block's z, one worker thread (owned by this generator and joined when
     it finishes or is closed) draws the same block's aux and scales it by
-    the noise deviations; each generator is read in order by one thread, so
-    the blocks are bit-identical to a serial draw.  With `out` (one (n, 4)
-    array per source) the blocks are written into those arrays and are
-    views of them.  Callers validate the arguments.
+    the noise deviations; each generator is read in order by one thread.
+    The worker then builds the second source's block while this thread
+    builds the first (see _build_block), so the blocks are bit-identical to
+    a serial draw.  With `out` (one (n, 4) array per source) the blocks are
+    written into those arrays and are views of them.  Callers validate the
+    arguments.
     """
     chols = [_cholesky_with_jitter(source.cov) for source in sources]
     n1, n2 = config.noise_pair
@@ -456,20 +461,45 @@ def _record_blocks(
         pending = pool.submit(noise, parts, step)
         z = fill(rngs_sig, parts, step)
         aux = pending.result()
-        blocks = []
-        for j, (source, chol) in enumerate(zip(sources, chols)):
-            block = None if out is None else out[j][start:stop]
-            block = np.matmul(z, chol.T, out=block)
-            block += source.mean
-            block += aux
-            block *= gains
-            blocks.append(block)
+        if out is None:
+            blocks = [np.empty((step, 4)) for _ in sources]
+        else:
+            blocks = [array[start:stop] for array in out]
+        # the worker builds the second source's block while this thread
+        # builds the first
+        builds = [
+            pool.submit(_build_block, block, z, aux, chol, source.mean, gains)
+            for block, chol, source in zip(blocks[1:], chols[1:], sources[1:])
+        ]
+        _build_block(blocks[0], z, aux, chols[0], sources[0].mean, gains)
+        for build in builds:
+            build.result()
         return tuple(blocks)
 
     # leaving the block, on success or failure, waits for the worker
     with ThreadPoolExecutor(max_workers=1) as pool:
         for start in range(0, n, _MEASURE_CHUNK):
             yield draw(pool, start, min(_MEASURE_CHUNK, n - start))
+
+
+def _build_block(block, z, aux, chol, mean, gains) -> None:
+    """block[:] = (z @ chol.T + mean + aux) * gains, one row block at a time.
+
+    A row block's four steps run while its z and aux rows are still in
+    cache.  The last row block takes the remainder, so a row block has one
+    row only when the whole block has: numpy hands a one-row matmul to gemv,
+    whose rounding differs from gemm's.
+    """
+    m = block.shape[0]
+    count = max(m // _HIST_SUB, 1)
+    for k in range(count):
+        lo = k * _HIST_SUB
+        hi = m if k == count - 1 else lo + _HIST_SUB
+        rows = block[lo:hi]
+        np.matmul(z[lo:hi], chol.T, out=rows)
+        rows += mean
+        rows += aux[lo:hi]
+        rows *= gains
 
 
 def measure(

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 
-from .detection import RecordBatch, _paired_record_blocks
+from . import detection
+from .detection import _HIST_SUB, RecordBatch, _paired_record_blocks
 from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
@@ -56,9 +57,6 @@ PAIR_LABELS = (
     ("P1", "P2"),
 )
 
-_MOMENT_BLOCK = 1 << 20
-# Records per histogram sub-block: its index temporaries fit in L2 cache.
-_HIST_SUB = 1 << 15
 _WARN_PHYSICALITY_TOL = 1e-6
 
 
@@ -100,9 +98,12 @@ class Binning:
         inside = (values >= self.lo) & (values <= self.hi)
         if not inside.all() and not np.isfinite(values).all():
             raise NonFiniteRecordError("records hold an infinite or NaN quadrature")
-        idx = ((values - self.lo) / self.width).astype(np.int64)
-        np.clip(idx, 0, self.bins - 1, out=idx)
-        return idx, inside
+        # a finite value far out of range may scale to +-inf or past int64;
+        # clipped before the cast, it lands in an edge bin (and is out of range)
+        with np.errstate(over="ignore"):
+            scaled = (values - self.lo) / self.width
+        np.clip(scaled, 0, self.bins - 1, out=scaled)
+        return scaled.astype(np.int64), inside
 
 
 def auto_binning(
@@ -214,8 +215,10 @@ def _iter_quadrature_blocks(records) -> Iterator[NDArray[np.float64]]:
         return
     arr = np.asarray(records, dtype=np.float64)
     if arr.ndim == 2 and arr.shape[1] == 4:
-        for start in range(0, arr.shape[0], _MOMENT_BLOCK):
-            yield arr[start : start + _MOMENT_BLOCK]
+        # the RecordBatch block grid, so both give the same moment sums
+        size = detection._MEASURE_CHUNK
+        for start in range(0, arr.shape[0], size):
+            yield arr[start : start + size]
         return
     raise TypeError("records must be a RecordBatch or an (n, 4) quadrature array")
 

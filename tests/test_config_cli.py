@@ -4,6 +4,7 @@ per-scenario outputs, and byte-level reproducibility."""
 import builtins
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -478,6 +479,30 @@ def test_cli_too_few_records_returns_3(tmp_path, capsys, method, records):
     )
     assert code == 3
     assert "need at least 2 records" in capsys.readouterr().err
+
+
+def _run_all_scenarios():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.main
+
+
+@pytest.mark.parametrize(
+    ("override", "code", "message"),
+    [
+        (["--records", "1"], 3, "numerical failure"),
+        (["--records", "-1"], 2, "config error"),
+        (["--seed", "-1"], 2, "config error"),
+    ],
+    ids=["one-record", "negative-records", "negative-seed"],
+)
+def test_run_all_scenarios_exits_like_the_cli(tmp_path, capsys, override, code, message):
+    assert _run_all_scenarios()(["--out", str(tmp_path), *override]) == code
+    assert message in capsys.readouterr().err
+    # an override the CLI rejects stops the script before any scenario runs
+    assert (code == 2) == (not any(tmp_path.iterdir()))
 
 
 def test_cli_unwritable_out_returns_4(tmp_path, capsys):

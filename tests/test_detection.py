@@ -1,6 +1,7 @@
 """Filter design, filtered-mode moments, and heterodyne record synthesis."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -391,6 +392,68 @@ def test_measure_store_equals_complex_column_construction(monkeypatch):
         assert store.shape == (4_003, 4) and store.flags.c_contiguous
         ref = _complex_column_records(source, cfg, 4_003, seed=5, streams=3, chunk=1000)
         assert store.tobytes() == ref.tobytes()
+
+
+def _whole_chunk_records(source, config, n, seed, streams, chunk):
+    """(z @ chol.T + mean + aux * sd) * g over each whole chunk, with each
+    partition's z and aux drawn at once from spawn keys (k, 0) and (k, 1)."""
+    base, extra = divmod(n, streams)
+    z, aux = (
+        np.concatenate(
+            [
+                np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k, channel)))
+                ).standard_normal((base + (k < extra), 4))
+                for k in range(streams)
+            ]
+        )
+        for channel in (0, 1)
+    )
+    chol = _cholesky_with_jitter(source.cov)
+    sd1, sd2 = (np.sqrt((2.0 * n_k + 1.0) / 4.0) for n_k in config.noise_pair)
+    sd = np.array([sd1, -sd1, sd2, -sd2])
+    g = np.array([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
+    records = np.empty((n, 4))
+    for lo in range(0, n, chunk):
+        c = slice(lo, lo + chunk)
+        records[c] = (z[c] @ chol.T + source.mean + aux[c] * sd) * g
+    return records
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("rows", [3, 4097, 1 << 14])
+def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, streams):
+    # a row block of 3 leaves one row at the end of every chunk: the last
+    # row block must take it, since a one-row matmul rounds differently
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    monkeypatch.setattr(detection, "_HIST_SUB", rows)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    n = 3 * 4096 + 7
+    sources = (state, vacuum_state(2))
+    want = [_whole_chunk_records(s, cfg, n, 6, streams, 4096) for s in sources]
+    blocks = list(detection._record_blocks(sources, cfg, n, 6, streams))
+    assert [on.shape[0] for on, _ in blocks] == [4096, 4096, 4096, 7]
+    for got, ref in zip(zip(*blocks), want):
+        assert (np.concatenate(got) == ref).all()
+    for pump_on, ref in zip((True, False), want):
+        stored = measure(state, cfg, n, seed=6, pump_on=pump_on, streams=streams)
+        assert (stored.quadratures() == ref).all()
+
+    build = detection._build_block
+
+    def build_on_this_thread_only(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker build failed")
+        build(*args)
+
+    monkeypatch.setattr(detection, "_build_block", build_on_this_thread_only)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker build failed") as failed:
+        list(detection._record_blocks(sources, cfg, n, 6, streams))
+    # joined before the error reached this frame, with the traceback still held
+    assert threading.active_count() == before
+    assert failed.traceback
 
 
 def test_measure_validation():

@@ -198,6 +198,27 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
     assert hists[("X1", "P1")].counts[0, 0] >= 1 and hists[("X1", "P1")].counts[7, 7] >= 1
 
 
+def test_far_out_of_range_values_are_overflow_without_a_warning():
+    binning = Binning(-1.0, 1.0, bins=8)
+    big = np.finfo(np.float64).max
+    q = np.zeros((7, 4))
+    q[1, 0] = 1e300
+    q[2, 3] = -1e300
+    q[3] = big  # scales past the largest double
+    q[4, 1] = -big
+    q[5, 2] = 1e19  # scales past the largest int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hists = accumulate_histograms(q, binning)
+    outside = np.abs(q) > 1.0
+    for pair, h in hists.items():
+        a, b = tomography._AXIS_INDEX[pair[0]], tomography._AXIS_INDEX[pair[1]]
+        overflow = int((outside[:, a] | outside[:, b]).sum())
+        assert (h.n_total, h.overflow) == (7, overflow)
+        # every in-range record is at 0, the lower edge of bin 4
+        assert h.counts[4, 4] == h.counts.sum() == 7 - overflow
+
+
 def _threaded_estimate_matches_serial_kernel(seed):
     state = two_mode_squeeze(vacuum_state(2), 1.0)
     cfg = DetectionConfig(n_noise=0.0)  # a quiet chain keeps the estimate physical
@@ -205,7 +226,19 @@ def _threaded_estimate_matches_serial_kernel(seed):
     off = measure(state, cfg, 80_000, seed=seed, pump_on=False).quadratures()
     pairs = ((on[k : k + 997], off[k : k + 997]) for k in range(0, 80_000, 997))
     est = estimate_from_blocks(pairs, cfg.noise_pair)
-    for records, hists in ((on, est.histograms_on), (off, est.histograms_off)):
+    # a recipe pair: the worker also builds the pump-off records
+    fused = estimate_state(
+        measure(state, cfg, 80_000, seed=seed),
+        measure(state, cfg, 80_000, seed=seed, pump_on=False),
+        cfg.noise_pair,
+    )
+    assert fused.binning == est.binning
+    for records, hists in (
+        (on, est.histograms_on),
+        (off, est.histograms_off),
+        (on, fused.histograms_on),
+        (off, fused.histograms_off),
+    ):
         ref = tomography._empty_histograms(est.binning)
         tomography._histogram_block(ref, records, est.binning)
         for pair in PAIR_LABELS:
@@ -364,6 +397,16 @@ def test_moment_accumulator_matches_numpy():
     np.testing.assert_allclose(ms.mean, q.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ms.cov, np.cov(q.T, bias=True), rtol=1e-9, atol=1e-12)
     assert ms.n == 10_000
+
+
+def test_array_and_record_batch_moments_share_the_block_grid(monkeypatch):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    state = two_mode_squeeze(vacuum_state(2), 1.0)
+    batch = measure(state, DetectionConfig(), 3 * 4096 + 7, seed=8)
+    streamed = accumulate_moments(batch)
+    stored = accumulate_moments(batch.quadratures())
+    assert np.array_equal(streamed.mean, stored.mean)
+    assert np.array_equal(streamed.cov, stored.cov)
 
 
 def test_moment_accumulator_merge_equals_single_pass():
