@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -190,6 +191,19 @@ _INT_FIELDS = {
 _SEQUENCE_FIELDS = {("run", "gain_map_powers_dbm")}
 
 
+def _number(path: str, value) -> float:
+    """A finite JSON number as a float: json reads Infinity and NaN too."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _coerce(section: str, name: str, value):
     path = f"{section}.{name}"
     key = (section, name)
@@ -208,19 +222,12 @@ def _coerce(section: str, name: str, value):
     if key in _SEQUENCE_FIELDS:
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"{path}: expected a non-empty list of numbers")
-        out = []
-        for k, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{path}[{k}]: expected a number, got {item!r}")
-            out.append(float(item))
-        return tuple(out)
+        return tuple(_number(f"{path}[{k}]", item) for k, item in enumerate(value))
     if key in _INT_FIELDS:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    return _number(path, value)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -272,6 +279,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (run.wigner_points >= 2, "run.wigner_points must be >= 2"),
         (run.psd_noise_sigma >= 0, "run.psd_noise_sigma must be >= 0"),
         (run.psd_points >= 10, "run.psd_points must be >= 10"),
+        (run.psd_seed_offset >= 0, "run.psd_seed_offset must be >= 0"),
         (run.flux_points >= 2, "run.flux_points must be >= 2"),
         (0 <= run.flux_min < run.flux_max < 0.5, "run flux range must satisfy 0 <= min < max < 0.5"),
         (run.reflection_span_hz > 0, "run.reflection_span_hz must be > 0"),

@@ -270,7 +270,9 @@ class RecordBatch:
     `quadratures()`, `s1` and `s2` draw the store on first use and keep it.
     Until then `chunks()` at the default size (and so `save_binary` and the
     tomography accumulators) draws block by block in O(chunk) memory, and
-    `len()` reads nothing.
+    `len()` reads nothing.  Each such streaming read of an unread recipe
+    draws it again, so a caller that reads a batch more than once should
+    call `quadratures()` first.
     """
 
     __slots__ = ("_store", "_recipe", "_lock")

@@ -23,14 +23,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import least_squares
 
 from . import detection
 from .detection import _HIST_SUB, RecordBatch, _paired_record_blocks
 from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
-    NoConvergenceError,
     NonFiniteRecordError,
     RangeTooSmallError,
     UnphysicalStateError,
@@ -504,9 +502,13 @@ def fit_squeezing(v: NDArray[np.float64]) -> SqueezingFit:
     any r the diagonal term is zeroed by n_add = 2 (dbar - cosh(2r)/4)
     whenever that is non-negative, leaving r = arcsinh(4 max(w, 0))/2 as the
     global minimizer.  If the implied n_add is negative the constraint is
-    active and the solution coincides with the pure-state fit, which is a
-    smooth one-parameter problem solved numerically from deterministic
-    starting points.
+    active and the solution coincides with the pure-state fit.
+
+    The pure-state cost is (cosh 2r - 4 dbar)^2/4 + (sinh 2r - 4 w)^2/8 plus
+    a constant, so with u = e^{2r} its stationary points are the real roots
+    u > 1 of 3u^4 - (16 dbar + 8w) u^3 + (16 dbar - 8w) u - 3 = 0.  The fit
+    is whichever of those roots and the bound r = 0 leaves the smallest
+    residual, r = 0 on a tie.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (4, 4):
@@ -522,32 +524,19 @@ def fit_squeezing(v: NDArray[np.float64]) -> SqueezingFit:
     w = float((v[0, 2] - v[1, 3]) / 2.0)
     r_cross = float(np.arcsinh(4.0 * max(w, 0.0)) / 2.0)
 
-    def resid_pure(params):
-        return _model_upper(params[0], 0.0) - data
+    def pure_residual(r: float) -> float:
+        return float(np.linalg.norm(_model_upper(r, 0.0) - data))
 
-    # pure fit: polish from both data-implied starts and keep the better
-    starts = {r_cross, float(np.arccosh(max(4.0 * d_bar, 1.0)) / 2.0)}
-    best = None
-    for r0 in sorted(starts):
-        res = least_squares(
-            resid_pure,
-            [r0],
-            bounds=([0.0], [np.inf]),
-            method="trf",
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
-            max_nfev=2000,
-        )
-        if res.status <= 0:
-            raise NoConvergenceError(f"squeezing fit failed: {res.message}")
-        if best is None or res.cost < best.cost:
-            best = res
-    r_pure = float(best.x[0])
-    # trf starts strictly inside the feasible box; snap back if the bound wins
-    if np.linalg.norm(resid_pure([0.0])) <= np.linalg.norm(best.fun):
-        r_pure = 0.0
-    residual_pure = float(np.linalg.norm(resid_pure([r_pure])))
+    quartic = [3.0, -(16.0 * d_bar + 8.0 * w), 0.0, 16.0 * d_bar - 8.0 * w, -3.0]
+    roots = np.roots(quartic)
+    # a near-double root can come back as a complex pair: its real part is
+    # still a candidate, and a spurious candidate only costs one evaluation
+    r_pure, residual_pure = 0.0, pure_residual(0.0)
+    for u in roots.real[roots.real > 1.0]:
+        r = float(np.log(u) / 2.0)
+        res = pure_residual(r)
+        if res < residual_pure:
+            r_pure, residual_pure = r, res
 
     n_interior = 2.0 * (d_bar - np.cosh(2.0 * r_cross) / 4.0)
     if n_interior >= 0.0:

@@ -207,6 +207,9 @@ def test_criterion_8_histogram_vs_streaming_and_shard_merge():
     records_off = measure(state, det, 1_000_000, seed=77, pump_on=False)
     est_h = estimate_state(records_on, records_off, det.noise_pair, method="histogram")
     est_s = estimate_state(records_on, records_off, det.noise_pair, method="streaming")
+    # keep the pump-on store for the three reads below (reading it before the
+    # estimates would skip their fused same-seed pair path)
+    records_on.quadratures()
     h, s = est_h.tomography.v, est_s.tomography.v
     # 0.5% per element on the mixed scale sqrt(V_ii V_jj), which equals the
     # relative tolerance on the diagonal and stays defined for zero elements

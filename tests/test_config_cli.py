@@ -411,6 +411,24 @@ def test_manifest_fields(tmp_path):
     assert disk == manifest
 
 
+def test_import_loads_no_scipy_optimize():
+    # scipy.optimize and the scipy.linalg it pulls in cost about 0.5 s and
+    # 40 MB at every CLI start; only the bare `scipy` (for versions) may load
+    src = str(Path(jpatomo.__file__).resolve().parents[1])
+    code = (
+        "import sys, jpatomo, jpatomo.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -457,6 +475,33 @@ def test_cli_bad_config_returns_2(tmp_path, capsys):
 
 def test_cli_negative_seed_returns_2(tmp_path):
     assert main(["--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value", "scenario"),
+    [
+        ("run", "wigner_extent", "Infinity", "tomography"),
+        ("run", "bin_sigmas", "Infinity", "tomography"),
+        ("run", "psd_noise_sigma", "Infinity", "psd"),
+        ("run", "r_true", "Infinity", "tomography"),
+        ("run", "psd_seed_offset", "-1", "psd"),
+        ("detection", "n_noise", "Infinity", "tomography"),
+        ("run", "gain_map_powers_dbm", "[-84.0, NaN]", "gain-map"),
+        ("run", "gain_span_hz", "1" + "0" * 400, "gain-map"),
+    ],
+    ids=lambda v: v if len(v) < 40 else "int-beyond-float",
+)
+def test_cli_non_finite_or_negative_config_returns_2(
+    tmp_path, capsys, section, key, value, scenario
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+    out = tmp_path / "o"
+    args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {section}.{key}" in err
+    assert not out.exists()
 
 
 def test_cli_unstable_pump_returns_3(tmp_path, capsys):

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
+
+from jpatomo import device
+from jpatomo.cli import _PSD_NOISE_KEY
+from jpatomo.config import default_config
 
 from jpatomo.device import (
     DEFAULT_DEVICE,
@@ -26,6 +33,7 @@ from jpatomo.device import (
 from jpatomo.errors import (
     FitDegenerateError,
     FluxDivergenceError,
+    NoConvergenceError,
     UnstableRegimeError,
 )
 
@@ -194,6 +202,115 @@ def test_fit_psd_input_validation():
         fit_psd(np.zeros((5, 2)))
     with pytest.raises(ValueError):
         fit_psd(np.zeros((20, 3)))
+
+
+def _reference_fit_psd(samples):
+    """Bounded trust-region least squares, as `fit_psd` did it before
+    variable projection.  Returns (params, stderrs, residual sum of squares)."""
+    deltas, values = samples[:, 0], samples[:, 1]
+    floor = float(np.min(values))
+    amp = float(np.max(values) - floor)
+    above_half = deltas[values - floor >= 0.5 * amp]
+    span = float(np.ptp(deltas))
+    b0 = float(np.ptp(above_half)) if above_half.size >= 2 else span / 4.0
+    x0 = np.array([1.0 + amp, max(b0, span * 1e-3), max(floor, 0.0)])
+
+    def residual(x):
+        return (x[0] - 1.0) / (1.0 + (2.0 * deltas / x[1]) ** 2) + x[2] - values
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # trf probing near B = 0
+        res = least_squares(
+            residual, x0, bounds=([1.0, span * 1e-9, 0.0], [np.inf] * 3),
+            method="trf", x_scale="jac", xtol=1e-12, ftol=1e-12, gtol=1e-12,
+            max_nfev=10_000,
+        )
+    assert res.status != 0
+    s2 = 2.0 * res.cost / (len(values) - 3)
+    err = np.sqrt(np.maximum(np.diag(s2 * np.linalg.pinv(res.jac.T @ res.jac)), 0.0))
+    return res.x, err, 2.0 * res.cost
+
+
+def _psd_cost(fit, samples):
+    deltas, values = samples[:, 0], samples[:, 1]
+    model = (fit.g0 - 1.0) / (1.0 + (2.0 * deltas / fit.bandwidth) ** 2) + fit.n_noise
+    return float(np.sum((model - values) ** 2))
+
+
+def _default_psd_samples(offset):
+    """The psd scenario's samples at the packaged config and run.psd_seed_offset."""
+    cfg = default_config()
+    prof = gain_profile(cfg.pump.build(), cfg.device.build(), cfg.pump.build_anchor())
+    deltas = np.linspace(-3.0 * prof.bandwidth, 3.0 * prof.bandwidth, cfg.run.psd_points)
+    seq = np.random.SeedSequence(cfg.run.seed, spawn_key=(_PSD_NOISE_KEY, offset))
+    noise = cfg.run.psd_noise_sigma * np.random.Generator(np.random.PCG64(seq)).standard_normal(
+        deltas.size
+    )
+    return np.column_stack([deltas, psd(deltas, prof, cfg.detection.n_noise) + noise])
+
+
+def test_fit_psd_matches_least_squares_reference_on_default_spectra():
+    for offset in range(50):
+        samples = _default_psd_samples(offset)
+        fit = fit_psd(samples)
+        (g0, bw, noise), err, _ = _reference_fit_psd(samples)
+        assert fit.g0 == pytest.approx(g0, rel=1e-8, abs=0)
+        assert fit.n_noise == pytest.approx(noise, rel=1e-8, abs=0)
+        assert fit.bandwidth == pytest.approx(bw, rel=2e-8, abs=0)
+        stderrs = (fit.g0_stderr, fit.bandwidth_stderr, fit.n_noise_stderr)
+        np.testing.assert_allclose(stderrs, err, rtol=1e-6, atol=0)
+        assert 68.0 <= fit.n_noise <= 70.0
+
+
+@pytest.mark.parametrize(
+    ("g0", "floor"),
+    [(1.0, 69.0), (1.5, 69.0), (100.0, 0.0), (2.0, 0.0)],
+    ids=["flat", "weak-peak", "zero-floor", "zero-floor-weak-peak"],
+)
+def test_fit_psd_cost_no_worse_than_reference_on_ill_posed_spectra(g0, floor):
+    # no identifiable peak, or the n_noise >= 0 bound active: the two fitters
+    # may stop at different points, but the new one may not fit worse
+    prof = GainProfile(g0=g0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        samples = np.column_stack(
+            [deltas, psd(deltas, prof, floor) + rng.normal(0.0, 0.5, deltas.size)]
+        )
+        _, _, cost_ref = _reference_fit_psd(samples)
+        assert _psd_cost(fit_psd(samples), samples) <= cost_ref * (1.0 + 1e-7)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        lambda d: 5.0 - 3.0 * d**2,  # best fit runs to B -> infinity
+        lambda d: 1.0 / np.maximum(d**2, 1e-3),  # a spike: B -> 0
+        lambda d: np.where(d == d[25], 10.0, 1.0),  # one high sample
+        lambda d: -5.0 + 0.1 * np.sin(7.0 * d),  # below the n_noise >= 0 bound
+    ],
+    ids=["parabola", "spike", "one-sample", "negative"],
+)
+def test_fit_psd_collinear_limits_are_finite_and_silent(values):
+    deltas = np.linspace(-1.0, 1.0, 50)
+    samples = np.column_stack([deltas, values(deltas)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_psd(samples)
+    params = (fit.g0, fit.bandwidth, fit.n_noise)
+    assert np.all(np.isfinite(params))
+    assert fit.g0 >= 1.0 and fit.bandwidth >= 2e-9 and fit.n_noise >= 0.0
+    _, _, cost_ref = _reference_fit_psd(samples)
+    assert _psd_cost(fit, samples) <= cost_ref * (1.0 + 1e-7)
+
+
+def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
+    noisy = psd(deltas, prof, 69.0) + np.random.default_rng(11).normal(0.0, 0.5, 200)
+    monkeypatch.setattr(device, "_POLISH_STEPS", 1)
+    with pytest.raises(NoConvergenceError):
+        fit_psd(np.column_stack([deltas, noisy]))
 
 
 def test_device_params_validation():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from jpatomo import detection, tomography
 from jpatomo.detection import DetectionConfig, RecordBatch, measure
@@ -573,6 +574,50 @@ def test_fit_validation():
     bad[0, 2] += 1.0
     with pytest.raises(InvalidCovarianceError):
         fit_squeezing(bad)
+
+
+def _reference_pure_fit(v):
+    """Bounded least squares of the pure-state model as `fit_squeezing` did it
+    before the closed form: trf from both data-implied starts, the better of
+    the two, snapped to r = 0 when the bound wins.  Returns (r, residual)."""
+    data = v[np.triu_indices(4)]
+    d_bar = float(np.mean(np.diag(v)))
+    w = float((v[0, 2] - v[1, 3]) / 2.0)
+
+    def resid(params):
+        d, s = np.cosh(2.0 * params[0]) / 4.0, np.sinh(2.0 * params[0]) / 4.0
+        return np.array([d, 0.0, s, 0.0, d, 0.0, -s, d, 0.0, d]) - data
+
+    starts = {np.arcsinh(4.0 * max(w, 0.0)) / 2.0, np.arccosh(max(4.0 * d_bar, 1.0)) / 2.0}
+    best = None
+    for r0 in sorted(starts):
+        res = least_squares(
+            resid, [r0], bounds=([0.0], [np.inf]), method="trf",
+            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
+        )
+        assert res.status > 0
+        if best is None or res.cost < best.cost:
+            best = res
+    r = 0.0 if np.linalg.norm(resid([0.0])) <= np.linalg.norm(best.fun) else best.x[0]
+    return float(r), float(np.linalg.norm(resid([r])))
+
+
+def test_pure_fit_matches_least_squares_reference():
+    # two-mode states with estimation noise of 0.1-3% of sqrt(V_ii V_jj);
+    # every fourth has its cross terms flipped, so the pure fit sits at or
+    # near the r = 0 bound
+    rng = np.random.default_rng(2026)
+    for k in range(200):
+        v = tms_theory_covariance(rng.uniform(0.0, 2.5), rng.uniform(0.0, 0.5)).cov.copy()
+        if k % 4 == 0:
+            v[0, 2] = v[2, 0] = -v[0, 2]
+            v[1, 3] = v[3, 1] = -v[1, 3]
+        e = rng.normal(0.0, rng.uniform(1e-3, 3e-2), (4, 4))
+        v += (e + e.T) / 2.0 * np.sqrt(np.outer(np.diag(v), np.diag(v)))
+        fit = fit_squeezing(v)
+        r_ref, residual_ref = _reference_pure_fit(v)
+        assert abs(fit.r_pure - r_ref) <= 1e-7, k
+        assert fit.residual_pure <= residual_ref + 1e-12, k
 
 
 @given(c=st.floats(0.95, 1.05), r=st.floats(0.2, 2.2))
