@@ -144,7 +144,10 @@ def _run_psd(cfg: ExperimentConfig, out_dir: Path) -> dict:
     )
     s_noisy = s_true + run.psd_noise_sigma * rng.standard_normal(delta.size)
     fit = fit_psd(np.column_stack([delta, s_noisy]))
-    s_fit = (fit.g0 - 1.0) / (1.0 + (2.0 * delta / fit.bandwidth) ** 2) + fit.n_noise
+    if fit.g0 == 1.0:  # no peak: its width is nan, its height zero
+        s_fit = np.full_like(delta, fit.n_noise)
+    else:
+        s_fit = (fit.g0 - 1.0) / (1.0 + (2.0 * delta / fit.bandwidth) ** 2) + fit.n_noise
     _write_csv(
         out_dir / "psd.csv",
         ("delta_hz", "s_true", "s_noisy", "s_fit"),

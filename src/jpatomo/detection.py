@@ -33,9 +33,14 @@ from .gaussian import GaussianState, _cholesky_with_jitter, vacuum_state
 FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
 _NORMALIZATION_TOL = 1e-10
-_MEASURE_CHUNK = 1 << 20
-# Records per row block of a record block's build and of the histogram kernel
-# (tomography imports it): a row block's temporaries stay in L2 cache.
+# Records per record block: a pass holds one block's z and aux draws and its
+# pump-on and pump-off blocks, 4 MB each, at once.  No result depends on it:
+# the random streams are read in record order whatever the block, and the
+# moment sums run on a _HIST_SUB cell grid of their own.
+_MEASURE_CHUNK = 1 << 17
+# Records per row block of a record block's build and of the histogram kernel,
+# and per cell of the moment sums (tomography imports it): a row block's
+# temporaries stay in L2 cache.
 _HIST_SUB = 1 << 14
 
 
@@ -273,6 +278,11 @@ class RecordBatch:
     `len()` reads nothing.  Each such streaming read of an unread recipe
     draws it again, so a caller that reads a batch more than once should
     call `quadratures()` first.
+
+    The block size changes no result: the tomography accumulators sum cells
+    of _HIST_SUB records on the global record grid, so `chunks(size)` at any
+    size, the stored array and the streamed recipe give bit-identical
+    moments and histograms.
     """
 
     __slots__ = ("_store", "_recipe", "_lock")
@@ -403,8 +413,11 @@ def _record_blocks(
     global grid of _MEASURE_CHUNK records counted from record 0, whatever
     `streams` is: a partition boundary splits a block's draw, never the
     block, so the blocks equal `RecordBatch.chunks()` of the stored records.
-    Each block is drawn once and yields one C-contiguous (m, 4) block per
-    source,
+    No record depends on _MEASURE_CHUNK (see _build_block), and the
+    tomography accumulators sum on a grid of _HIST_SUB-record cells of their
+    own, so the block size moves no result; accumulators merged on cell
+    boundaries equal one pass bit for bit.  Each block is drawn once and
+    yields one C-contiguous (m, 4) block per source,
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
 
@@ -464,7 +477,12 @@ def _record_blocks(
         z = fill(rngs_sig, parts, step)
         aux = pending.result()
         if out is None:
-            blocks = [np.empty((step, 4)) for _ in sources]
+            # one allocation for all sources' blocks: glibc malloc keeps a
+            # freed pair on its heap (it trims at twice the largest freed
+            # mapping), where it trims separate blocks and faults their pages
+            # in again for every block (10^7 records: 5e3 page faults, not
+            # 1.2e5)
+            blocks = list(np.empty((len(sources), step, 4)))
         else:
             blocks = [array[start:stop] for array in out]
         # the worker builds the second source's block while this thread
@@ -489,8 +507,9 @@ def _build_block(block, z, aux, chol, mean, gains) -> None:
 
     A row block's four steps run while its z and aux rows are still in
     cache.  The last row block takes the remainder, so a row block has one
-    row only when the whole block has: numpy hands a one-row matmul to gemv,
-    whose rounding differs from gemm's.
+    row only when the whole block has.  That row comes from a two-row
+    product: numpy hands a one-row matmul to gemv, whose rounding differs
+    from gemm's, and no record may depend on the block it falls in.
     """
     m = block.shape[0]
     count = max(m // _HIST_SUB, 1)
@@ -498,7 +517,10 @@ def _build_block(block, z, aux, chol, mean, gains) -> None:
         lo = k * _HIST_SUB
         hi = m if k == count - 1 else lo + _HIST_SUB
         rows = block[lo:hi]
-        np.matmul(z[lo:hi], chol.T, out=rows)
+        if hi - lo == 1:
+            rows[:] = np.matmul(np.repeat(z[lo:hi], 2, axis=0), chol.T)[:1]
+        else:
+            np.matmul(z[lo:hi], chol.T, out=rows)
         rows += mean
         rows += aux[lo:hi]
         rows *= gains

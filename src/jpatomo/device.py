@@ -288,8 +288,11 @@ def fit_psd(samples) -> PsdFit:
     below 1e-12 or the cost stops falling; more than 50 steps raise
     NoConvergenceError.  Standard errors are s^2 pinv(J^T J) at the fit.
     Exactly flat data collapses to the identifiable limit (g0 -> 1,
-    n_noise = mean); data without detuning spread cannot constrain the
-    bandwidth and raises FitDegenerateError.
+    n_noise = mean).  Where the best fit has no peak (g0 = 1, as for data
+    rising away from delta = 0 or lying below zero) the bandwidth is
+    unidentified: it and the g0 and bandwidth errors are nan, and n_noise
+    gets the error of a constant fit.  Data without detuning spread cannot
+    constrain the bandwidth and raises FitDegenerateError.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -340,6 +343,17 @@ def fit_psd(samples) -> PsdFit:
             t2 = lo + _GOLDEN * (hi - lo)
             (p2,) = profile(t2)
     log_b, (_, amp, noise) = (t1, p1) if p1[0] <= p2[0] else (t2, p2)
+    if amp == 0.0:
+        # no peak above the floor: every bandwidth fits equally well
+        resid = noise - values
+        return PsdFit(
+            g0=1.0,
+            bandwidth=np.nan,
+            n_noise=noise,
+            g0_stderr=np.nan,
+            bandwidth_stderr=np.nan,
+            n_noise_stderr=float(np.sqrt(resid @ resid / (n - 3) / n)),
+        )
     x = np.array([1.0 + amp, max(np.exp(log_b), b_min), noise])
 
     resid, jac = _residual_jacobian(x, deltas, values)

@@ -219,6 +219,23 @@ def test_psd_outputs(tmp_path):
     assert manifest["results"]["true_g0"] == 100.0
 
 
+def test_psd_without_a_peak_writes_a_finite_flat_fit(tmp_path, monkeypatch):
+    # a spectrum rising away from delta = 0: the best fit has no peak
+    real_fit = cli.fit_psd
+
+    def rising_fit(samples):
+        deltas = samples[:, 0]
+        return real_fit(np.column_stack([deltas, 69.0 + (deltas / deltas.max()) ** 2]))
+
+    monkeypatch.setattr(cli, "fit_psd", rising_fit)
+    run_scenario("psd", default_config(), tmp_path)
+    _, data = read_csv(tmp_path / "psd.csv")
+    fit = json.loads((tmp_path / "psd_fit.json").read_text())
+    assert fit["g0"] == 1.0
+    assert np.isnan(fit["bandwidth_hz"]) and np.isnan(fit["bandwidth_hz_stderr"])
+    assert (data[:, 3] == fit["n_noise"]).all()
+
+
 def test_tomography_outputs(tmp_path):
     cfg = small_run()
     manifest = run_scenario("tomography", cfg, tmp_path)

@@ -233,7 +233,9 @@ def _reference_fit_psd(samples):
 
 def _psd_cost(fit, samples):
     deltas, values = samples[:, 0], samples[:, 1]
-    model = (fit.g0 - 1.0) / (1.0 + (2.0 * deltas / fit.bandwidth) ** 2) + fit.n_noise
+    model = fit.n_noise
+    if fit.g0 != 1.0:  # g0 = 1: no peak, and a nan bandwidth
+        model = (fit.g0 - 1.0) / (1.0 + (2.0 * deltas / fit.bandwidth) ** 2) + model
     return float(np.sum((model - values) ** 2))
 
 
@@ -297,9 +299,35 @@ def test_fit_psd_collinear_limits_are_finite_and_silent(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = fit_psd(samples)
-    params = (fit.g0, fit.bandwidth, fit.n_noise)
-    assert np.all(np.isfinite(params))
-    assert fit.g0 >= 1.0 and fit.bandwidth >= 2e-9 and fit.n_noise >= 0.0
+    if np.max(samples[:, 1]) < 0.0:
+        # no peak fits data below zero: the bandwidth is unidentified
+        assert fit.g0 == 1.0
+        assert np.isnan(fit.bandwidth) and np.isnan(fit.bandwidth_stderr)
+    else:
+        assert np.isfinite(fit.bandwidth) and fit.bandwidth >= 2e-9
+    assert np.isfinite(fit.g0) and np.isfinite(fit.n_noise)
+    assert fit.g0 >= 1.0 and fit.n_noise >= 0.0
+    _, _, cost_ref = _reference_fit_psd(samples)
+    assert _psd_cost(fit, samples) <= cost_ref * (1.0 + 1e-7)
+
+
+@pytest.mark.parametrize(
+    ("values", "n_noise"),
+    [
+        (lambda d: 1.0 + d**2, 1.0 + 17.0 / 49.0),  # rises away from delta = 0
+        (lambda d: -5.0 + 0.1 * np.sin(7.0 * d), 0.0),  # below zero
+    ],
+    ids=["rising", "negative"],
+)
+def test_fit_psd_without_a_peak_reports_no_bandwidth(values, n_noise):
+    deltas = np.linspace(-1.0, 1.0, 50)
+    samples = np.column_stack([deltas, values(deltas)])
+    fit = fit_psd(samples)
+    assert fit.g0 == 1.0 and fit.n_noise == pytest.approx(n_noise, rel=1e-14, abs=0)
+    assert np.isnan(fit.bandwidth) and np.isnan(fit.bandwidth_stderr)
+    assert np.isnan(fit.g0_stderr)
+    resid = samples[:, 1] - fit.n_noise
+    assert fit.n_noise_stderr == pytest.approx(np.sqrt(resid @ resid / 47 / 50), rel=1e-14)
     _, _, cost_ref = _reference_fit_psd(samples)
     assert _psd_cost(fit, samples) <= cost_ref * (1.0 + 1e-7)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -183,9 +184,10 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
     for row, value in enumerate(edges):
         q[row * 2501, row % 4] = value
         q[row * 2501 + 1] = value
-    hists = tomography._empty_histograms(binning)
+    cells = tomography._empty_cells(binning)
     monkeypatch.setattr(tomography, "_HIST_SUB", sub)
-    tomography._histogram_block(hists, q, binning)
+    tomography._histogram_block(cells, q, binning)
+    hists = tomography._fold_histograms(cells, binning)
 
     idx, inside = binning.index(q)
     for pair, h in hists.items():
@@ -240,8 +242,9 @@ def _threaded_estimate_matches_serial_kernel(seed):
         (on, fused.histograms_on),
         (off, fused.histograms_off),
     ):
-        ref = tomography._empty_histograms(est.binning)
-        tomography._histogram_block(ref, records, est.binning)
+        cells = tomography._empty_cells(est.binning)
+        tomography._histogram_block(cells, records, est.binning)
+        ref = tomography._fold_histograms(cells, est.binning)
         for pair in PAIR_LABELS:
             assert np.array_equal(hists[pair].counts, ref[pair].counts)
             assert (hists[pair].n_total, hists[pair].overflow) == (
@@ -842,4 +845,82 @@ def test_failed_recipe_estimate_joins_the_draw_worker(monkeypatch):
         accumulate_moments(on)
     assert threading.active_count() == before
     assert failed_estimate.traceback and failed_moments.traceback
+    assert on._store is None and off._store is None
+
+
+# ---------------------------------------------------------------------------
+# moment sums on the cell grid: no block size moves a bit
+
+_G = tomography._CELL
+_GRID_N = 4 * _G + 7
+
+
+def _same_moments(got, want):
+    return np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
+
+@pytest.mark.parametrize("size", [1, 3, _G - 1, _G, 3 * _G + 5, _GRID_N])
+def test_moments_do_not_depend_on_the_block_size(monkeypatch, size):
+    state = tms_theory_covariance(1.0, 0.0)
+    args = dict(config=_LOW_NOISE, n=_GRID_N, seed=20261018)
+    stored_on = measure(state, pump_on=True, **args).quadratures()
+    stored_off = measure(state, pump_on=False, **args).quadratures()
+    want = accumulate_moments(stored_on)
+
+    acc = MomentAccumulator()
+    for lo in range(0, _GRID_N, size):
+        acc.update(stored_on[lo : lo + size])
+    assert _same_moments(acc.finalize(), want)
+
+    chunked = MomentAccumulator()
+    for block in RecordBatch._wrap(stored_on.copy()).chunks(size):
+        chunked.update(block)
+    assert _same_moments(chunked.finalize(), want)
+
+    # the record engine drawing a fused pair in blocks of `size`; each block
+    # costs a few thread handoffs, so the tiny blocks draw a short prefix
+    n = _GRID_N if size > 3 else 4099
+    stored = _estimate_or_error(stored_on[:n], stored_off[:n], "streaming")
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", size)
+    args["n"] = n
+    fused = _estimate_or_error(
+        measure(state, pump_on=True, **args), measure(state, pump_on=False, **args), "streaming"
+    )
+    _assert_same_estimate(fused, stored)
+    assert not isinstance(stored, Exception)
+
+
+def test_moment_merge_on_cell_boundaries_equals_one_pass():
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal((_GRID_N, 4)) * [1.0, 2.0, 3.0, 4.0] + [0.5, -1.0, 3.0, 1e3]
+    want = MomentAccumulator().update(q).finalize()
+    for cuts in ([_G], [2 * _G], [4 * _G], [_G, 3 * _G], [_G, 2 * _G, 4 * _G]):
+        edges = [0, *cuts, _GRID_N]
+        shards = [MomentAccumulator().update(q[a:b]) for a, b in zip(edges, edges[1:])]
+        left = shards[0]
+        for shard in shards[1:]:
+            left.merge(shard)
+        assert _same_moments(left.finalize(), want)
+        # merging the right-hand shards first gives the same sums
+        right = shards[-1]
+        for shard in shards[-2:0:-1]:
+            right = MomentAccumulator().merge(shard).merge(right)
+        assert _same_moments(MomentAccumulator().update(q[: edges[1]]).merge(right).finalize(), want)
+
+
+@pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+def test_recipe_pair_estimate_memory_is_a_few_blocks(method):
+    # 2e6 records are 64 MB per pump setting; the pass holds a few blocks
+    state = tms_theory_covariance(1.78, 0.0)
+    cfg = DetectionConfig()
+    on = measure(state, cfg, 2_000_000, seed=5)
+    off = measure(state, cfg, 2_000_000, seed=5, pump_on=False)
+    tracemalloc.start()
+    try:
+        estimate_state(on, off, cfg.noise_pair, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
     assert on._store is None and off._store is None
