@@ -19,8 +19,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +57,21 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _json_ready(value):
+    """`value` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
+    """Strict JSON: a non-finite float is written as null, never as NaN."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -199,20 +213,25 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
     else:
         state = tms_theory_covariance(run.r_true, run.n_add_true)
     det = cfg.detection.build()
-    # one pass: each chunk of draws feeds the pump-on and pump-off accumulators
-    blocks = _record_blocks((state, vacuum_state(2)), det, run.n_records, run.seed)
-    if run.save_records:
-        blocks = _saved_blocks(blocks, out_dir)
-    with contextlib.closing(blocks):  # closes the record files on failure too
-        est = estimate_from_blocks(
-            blocks,
-            det.noise_pair,
-            method=run.method,
-            bins=run.bins,
-            bin_sigmas=run.bin_sigmas,
-            prefix_records=run.prefix_records,
-            grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
+    # one pass on one worker thread: each chunk of draws feeds the pump-on
+    # and pump-off accumulators
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        blocks = _record_blocks(
+            (state, vacuum_state(2)), det, run.n_records, run.seed, worker=worker
         )
+        if run.save_records:
+            blocks = _saved_blocks(blocks, out_dir)
+        with contextlib.closing(blocks):  # closes the record files on failure too
+            est = estimate_from_blocks(
+                blocks,
+                det.noise_pair,
+                method=run.method,
+                bins=run.bins,
+                bin_sigmas=run.bin_sigmas,
+                prefix_records=run.prefix_records,
+                grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
+                worker=worker,
+            )
     result = est.tomography
     result.save_json(out_dir / "covariance.json")
 

@@ -16,7 +16,7 @@ import contextlib
 import csv
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, zip_longest
@@ -810,10 +810,14 @@ def estimate_state(
     """Records to reconstructed state in one call (see estimate_from_blocks).
 
     A pump-on/pump-off pair of unread `measure` recipes that differ only in
-    the pump setting is drawn once, for both, in O(chunk) memory; any other
+    the pump setting is drawn once, for both, in O(chunk) memory, by a
+    record pass that shares the estimate's one worker thread; any other
     pair streams each side's blocks.
     """
-    with contextlib.closing(_paired_blocks(records_on, records_off)) as blocks:
+    with (
+        ThreadPoolExecutor(max_workers=1) as worker,
+        contextlib.closing(_paired_blocks(records_on, records_off, worker)) as blocks,
+    ):
         return estimate_from_blocks(
             blocks,
             n_noise,
@@ -822,13 +826,14 @@ def estimate_state(
             bin_sigmas=bin_sigmas,
             prefix_records=prefix_records,
             grid=grid,
+            worker=worker,
         )
 
 
-def _paired_blocks(records_on, records_off):
+def _paired_blocks(records_on, records_off, worker: Executor):
     """(pump-on, pump-off) quadrature block pairs; a matched recipe pair is
-    drawn once."""
-    fused = _paired_record_blocks(records_on, records_off)
+    drawn once, on `worker`."""
+    fused = _paired_record_blocks(records_on, records_off, worker)
     if fused is not None:
         yield from fused
         return
@@ -855,16 +860,35 @@ def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
     return _prefix_binning(prefix[:m], bins, sigmas), chain(iter(head), blocks)
 
 
-def _add_pairs(blocks, add_on, add_off) -> None:
-    """add_on(on) on this thread and add_off(off) on one worker thread, for
-    each (on, off) block pair; leaving, on success or failure, waits for
-    the worker."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for on, off in blocks:
-            pending = pool.submit(add_off, off)
-            add_on(on)
-            pending.result()
-            del on, off, pending  # free this pair before the next one is drawn
+def _add_pairs(blocks, add_on, add_off, worker: Executor | None) -> None:
+    """add_on(on) on this thread and add_off(off) on `worker`, one thread
+    that runs its tasks in order (None: one owned by this call), for each
+    (on, off) block pair.
+
+    add_off(off) is checked when the next pair has arrived, so this thread
+    goes on to draw that pair while the worker adds the pump-off block.  A
+    `_record_blocks` pass on the same worker has queued the next block's aux
+    draw before the pair arrives and queues the next block's pump-off build
+    behind add_off(off), so the worker adds the block between those two and
+    the check never waits.  Leaving, on success or failure, waits for the
+    last add_off; a failure of add_on is raised over it.
+    """
+    pending = None
+    with contextlib.ExitStack() as stack:
+        if worker is None:
+            worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+        try:
+            for on, off in blocks:
+                if pending is not None:
+                    pending.result()
+                pending = worker.submit(add_off, off)
+                add_on(on)
+                del on, off  # the worker frees the pump-off block once it is added
+        finally:
+            if pending is not None:
+                wait([pending])
+    if pending is not None:
+        pending.result()
 
 
 def estimate_from_blocks(
@@ -875,6 +899,8 @@ def estimate_from_blocks(
     bin_sigmas: float = 6.0,
     prefix_records: int = 10_000,
     grid: WignerGrid | None = None,
+    *,
+    worker: Executor | None = None,
 ) -> EstimationResult:
     """Reconstruct the state in one pass over paired (pump-on, pump-off)
     (m, 4) quadrature blocks.
@@ -883,10 +909,16 @@ def estimate_from_blocks(
     (the export path), binned by the auto_binning rule on the first
     `prefix_records` pump-on records; "streaming" accumulates exact moments
     directly.  Both calibrate on the pump-off records, subtract them, and
-    fit.  Memory is one block pair plus the blocks the prefix spans.  One
-    worker thread adds the pump-off blocks while this thread adds the
-    pump-on ones; integer counts and the cell grid of the moment sums make
-    the result independent of that split and of the block sizes.
+    fit.  Memory is two block pairs plus the blocks the prefix spans.
+
+    `worker` is an executor with one thread that runs its tasks in order,
+    shared with the `_record_blocks` pass that draws `blocks` (None: the
+    estimate owns one).  The worker adds each pump-off block while this
+    thread adds the pump-on block and then draws the next one (see
+    _add_pairs), so a histogram, whose bincount holds the GIL, runs beside a
+    draw, which releases it, not beside the other histogram.  Integer
+    counts and the cell grid of the moment sums make the result independent
+    of that split and of the block sizes.
     """
     if method not in ("histogram", "streaming"):
         raise ValueError("method must be 'histogram' or 'streaming'")
@@ -900,6 +932,7 @@ def estimate_from_blocks(
             blocks,
             partial(_histogram_block, cells_on, binning=binning),
             partial(_histogram_block, cells_off, binning=binning),
+            worker,
         )
         hists_on = _fold_histograms(cells_on, binning)
         hists_off = _fold_histograms(cells_off, binning)
@@ -907,7 +940,7 @@ def estimate_from_blocks(
         raw_off = moment_set_from_histograms(hists_off)
     else:
         acc_on, acc_off = MomentAccumulator(), MomentAccumulator()
-        _add_pairs(blocks, acc_on.update, acc_off.update)
+        _add_pairs(blocks, acc_on.update, acc_off.update, worker)
         raw_on = acc_on.finalize()
         raw_off = acc_off.finalize()
     scales = calibrate(raw_off, n_noise)

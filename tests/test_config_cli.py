@@ -230,10 +230,23 @@ def test_psd_without_a_peak_writes_a_finite_flat_fit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fit_psd", rising_fit)
     run_scenario("psd", default_config(), tmp_path)
     _, data = read_csv(tmp_path / "psd.csv")
-    fit = json.loads((tmp_path / "psd_fit.json").read_text())
+    fit, manifest = (
+        _strict_json(tmp_path / name) for name in ("psd_fit.json", "manifest.json")
+    )
     assert fit["g0"] == 1.0
-    assert np.isnan(fit["bandwidth_hz"]) and np.isnan(fit["bandwidth_hz_stderr"])
+    assert fit["bandwidth_hz"] is None and fit["bandwidth_hz_stderr"] is None
+    assert manifest["results"] == fit
     assert (data[:, 3] == fit["n_noise"]).all()
+
+
+def _strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity tokens raise."""
+
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
 
 
 def test_tomography_outputs(tmp_path):
@@ -400,6 +413,77 @@ def test_pump_off_histogram_failure_closes_files_and_joins_workers(tmp_path, mon
         assert (tmp_path / "again" / name).read_bytes() == (
             tmp_path / "fresh" / name
         ).read_bytes()
+
+
+class _ConsumerFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("fail", [None, "on", "off"])
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+@pytest.mark.parametrize("path", ["estimate_state", "scenario"])
+def test_a_record_pass_owns_one_worker_thread(tmp_path, monkeypatch, path, method, fail):
+    # the pump-on blocks are added on the calling thread, the pump-off blocks
+    # on the pass's one worker, which also draws the noise and builds the
+    # pump-off blocks; `fail` raises in the consumer of the second block
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    cfg = small_run(method=method, save_records=True)
+    caller = threading.active_count()
+    sampled, calls, raised = [], {"on": 0, "off": 0}, []
+
+    def watched(add):
+        def consumer(*args, **kwargs):
+            setting = "on" if threading.current_thread() is threading.main_thread() else "off"
+            if setting == "on":
+                sampled.append(threading.active_count())
+            calls[setting] += 1
+            if setting == fail and calls[setting] == 2:
+                raised.append(_ConsumerFailed(setting))
+                raise raised[-1]
+            return add(*args, **kwargs)
+
+        return consumer
+
+    if method == "histogram":
+        monkeypatch.setattr(tomography, "_histogram_block", watched(tomography._histogram_block))
+    else:
+        accumulator = tomography.MomentAccumulator
+        monkeypatch.setattr(accumulator, "update", watched(accumulator.update))
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+
+    def run_pass():
+        if path == "scenario":
+            run_scenario("tomography", cfg, tmp_path)
+            return
+        run = cfg.run
+        state = tms_theory_covariance(run.r_true, run.n_add_true)
+        det = cfg.detection.build()
+        estimate_state(
+            measure(state, det, run.n_records, run.seed),
+            measure(state, det, run.n_records, run.seed, pump_on=False),
+            det.noise_pair,
+            method=method,
+            prefix_records=run.prefix_records,
+        )
+
+    if fail is None:
+        run_pass()
+        assert calls == {"on": 5, "off": 5}  # 20000 records in blocks of 4096
+    else:
+        with pytest.raises(_ConsumerFailed) as failed:
+            run_pass()
+        assert failed.value is raised[0] and calls[fail] == 2
+    assert sampled and max(sampled) <= caller + 1
+    assert threading.active_count() == caller
+    if path == "scenario":
+        assert {Path(fh.name).name for fh in opened} >= {"records_on.bin", "records_off.bin"}
+    assert all(fh.closed for fh in opened)
 
 
 def test_tomography_device_state_source(tmp_path):

@@ -456,6 +456,71 @@ def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, stre
     assert failed.traceback
 
 
+@pytest.mark.parametrize("rows", [1, 15, 16, 17, (1 << 14) + 3])
+def test_columnwise_ops_equal_the_per_column_broadcast(rows):
+    # the aux scale, and the build's mean and gain steps
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal((rows, 4)) * [1.0, 3.0, 1e3, 1e-3]
+    sd1, sd2 = (np.sqrt((2.0 * n + 1.0) / 4.0) for n in (69.0, 40.0))
+    for ufunc, vector in (
+        (np.multiply, [sd1, -sd1, sd2, -sd2]),
+        (np.add, [0.3, -0.2, 1.7, 0.05]),
+        (np.multiply, [1.0, 1.0, 1.02, 1.02]),
+    ):
+        got = values.copy()
+        detection._columnwise(ufunc, got, detection._tiled(vector))
+        assert (got == ufunc(values, np.array(vector))).all()
+    with pytest.raises(ValueError):  # rows it cannot flatten without a copy
+        detection._columnwise(np.add, np.zeros((3, 8))[:, :4], detection._tiled([1.0] * 4))
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, streams):
+    # 4099 records is no multiple of detection._TILE_ROWS: every block ends
+    # in a part of a tile; a displaced source exercises the mean step
+    chunk = 4099
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", chunk)
+    squeezed = two_mode_squeeze(vacuum_state(2), 1.3)
+    state = GaussianState(2, np.array([0.3, -0.2, 1.7, 0.05]), squeezed.cov)
+    cfg = DetectionConfig(n_noise_ch2=40.0, gain_ch2=1.03)
+    n = 3 * chunk + 7
+    sources = (state, vacuum_state(2))
+    want = [_whole_chunk_records(s, cfg, n, 6, streams, chunk) for s in sources]
+    blocks = list(detection._record_blocks(sources, cfg, n, 6, streams))
+    assert [on.shape[0] for on, _ in blocks] == [chunk, chunk, chunk, 7]
+    for got, ref in zip(zip(*blocks), want):
+        assert (np.concatenate(got) == ref).all()
+
+
+def test_closing_the_engine_after_block_k_draws_nothing_past_block_k_plus_1(monkeypatch):
+    chunk = 4096
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", chunk)
+    drawn = {0: 0, 1: 0}  # rows drawn per channel: 0 signal, 1 auxiliary noise
+    generator = np.random.Generator
+
+    class CountedGenerator:
+        def __init__(self, bit_generator):
+            self._channel = bit_generator.seed_seq.spawn_key[-1]
+            self._generator = generator(bit_generator)
+
+        def standard_normal(self, out):
+            drawn[self._channel] += out.shape[0]
+            return self._generator.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    sources = (two_mode_squeeze(vacuum_state(2), 1.0), vacuum_state(2))
+    before = threading.active_count()
+    for k in range(4):
+        drawn.update({0: 0, 1: 0})
+        engine = detection._record_blocks(sources, DetectionConfig(), 10 * chunk, 6)
+        for _ in range(k + 1):
+            next(engine)
+        engine.close()
+        assert drawn[0] == (k + 1) * chunk
+        assert (k + 1) * chunk <= drawn[1] <= (k + 2) * chunk
+        assert threading.active_count() == before
+
+
 def test_measure_validation():
     state = two_mode_squeeze(vacuum_state(2), 1.0)
     cfg = DetectionConfig()

@@ -251,13 +251,29 @@ def _threaded_estimate_matches_serial_kernel(seed):
                 ref[pair].n_total,
                 ref[pair].overflow,
             )
+    # the streaming method: serial moment sums are the reference
+    pairs = ((on[k : k + 997], off[k : k + 997]) for k in range(0, 80_000, 997))
+    streamed = estimate_from_blocks(pairs, cfg.noise_pair, method="streaming")
+    fused_streamed = estimate_state(
+        measure(state, cfg, 80_000, seed=seed),
+        measure(state, cfg, 80_000, seed=seed, pump_on=False),
+        cfg.noise_pair,
+        method="streaming",
+    )
+    raw_on, raw_off = accumulate_moments(on), accumulate_moments(off)
+    scales = calibrate(raw_off, cfg.noise_pair)
+    for est in (streamed, fused_streamed):
+        assert est.scale_factors == scales
+        for got, raw in ((est.moments_on, raw_on), (est.moments_off, raw_off)):
+            want = apply_scale(raw, scales)
+            assert (got.mean == want.mean).all() and (got.cov == want.cov).all()
     return True
 
 
 @pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
 def test_threaded_histograms_under_contention_equal_serial_kernel():
-    # four concurrent estimates (eight threads on fewer cores), switching
-    # threads as often as the interpreter allows
+    # four concurrent estimates of each method (eight threads on fewer
+    # cores), switching threads as often as the interpreter allows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
