@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
 import json
@@ -49,12 +48,17 @@ TWO_PI = 2.0 * np.pi
 _PSD_NOISE_KEY = 1_000_003
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """A header row, then one row of float reprs per index of the
+    equal-length `columns`: the csv module's excel dialect, written as one
+    string (a float repr holds no delimiter or quote, so no field is
+    quoted)."""
+    lines = [",".join(header) + "\r\n"]
+    lines.extend(
+        ",".join(map(repr, row)) + "\r\n" for row in np.column_stack(columns).tolist()
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("".join(lines))
 
 
 def _json_ready(value):
@@ -81,7 +85,7 @@ def _run_flux_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     phi = np.linspace(run.flux_min, run.flux_max, run.flux_points)
     omega_r = resonance_frequency(phi, device)
     freq_hz = omega_r / TWO_PI
-    _write_csv(out_dir / "flux_sweep.csv", ("phi", "omega_r_hz"), zip(phi, freq_hz))
+    _write_csv(out_dir / "flux_sweep.csv", ("phi", "omega_r_hz"), (phi, freq_hz))
     return {
         "phi_min": float(phi[0]),
         "phi_max": float(phi[-1]),
@@ -102,7 +106,7 @@ def _run_reflection(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "reflection.csv",
         ("delta_hz", "re", "im", "abs"),
-        zip(delta / TWO_PI, gamma.real, gamma.imag, np.abs(gamma)),
+        (delta / TWO_PI, gamma.real, gamma.imag, np.abs(gamma)),
     )
     mid = run.reflection_points // 2
     return {
@@ -122,7 +126,7 @@ def _run_gain_map(cfg: ExperimentConfig, out_dir: Path) -> dict:
     span = TWO_PI * run.gain_span_hz
     delta = np.linspace(-span / 2, span / 2, run.gain_points)
     profiles = {}
-    rows = []
+    gains = []
     for power in run.gain_map_powers_dbm:
         pump = dataclasses.replace(base_pump, power_dbm=power)
         profile = gain_profile(pump, device, anchor)
@@ -130,11 +134,14 @@ def _run_gain_map(cfg: ExperimentConfig, out_dir: Path) -> dict:
             "g0": float(profile.g0),
             "bandwidth_hz": float(profile.bandwidth / TWO_PI),
         }
-        g = gain(delta, profile)
-        rows.extend(
-            (power, d_hz, gv) for d_hz, gv in zip(delta / TWO_PI, g)
-        )
-    _write_csv(out_dir / "gain_map.csv", ("power_dbm", "delta_hz", "gain"), rows)
+        gains.append(gain(delta, profile))
+    powers = np.asarray(run.gain_map_powers_dbm, dtype=np.float64)
+    columns = (
+        np.repeat(powers, delta.size),
+        np.tile(delta / TWO_PI, powers.size),
+        np.concatenate(gains),
+    )
+    _write_csv(out_dir / "gain_map.csv", ("power_dbm", "delta_hz", "gain"), columns)
     return {
         "powers_dbm": [float(p) for p in run.gain_map_powers_dbm],
         "points_per_power": int(delta.size),
@@ -165,7 +172,7 @@ def _run_psd(cfg: ExperimentConfig, out_dir: Path) -> dict:
     _write_csv(
         out_dir / "psd.csv",
         ("delta_hz", "s_true", "s_noisy", "s_fit"),
-        zip(delta / TWO_PI, s_true, s_noisy, s_fit),
+        (delta / TWO_PI, s_true, s_noisy, s_fit),
     )
     fit_payload = {
         "g0": float(fit.g0),

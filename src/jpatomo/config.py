@@ -9,7 +9,6 @@ idempotent.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -306,11 +305,12 @@ def _validate(cfg: ExperimentConfig) -> None:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     out: dict = {"schema_version": SCHEMA_VERSION}
     for section in _SECTION_TYPES:
-        value = dataclasses.asdict(getattr(cfg, section))
-        for name, item in value.items():
-            if isinstance(item, tuple):
-                value[name] = list(item)
-        out[section] = value
+        # the fields as they are (no deep copy); a tuple is written as a list
+        value = getattr(cfg, section)
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        out[section] = {
+            name: list(item) if isinstance(item, tuple) else item for name, item in items
+        }
     return out
 
 

@@ -328,9 +328,11 @@ class RecordBatch:
     def __setstate__(self, state) -> None:
         self._init(*state)
 
-    def _blocks(self, out=None) -> Iterator[tuple[NDArray[np.float64], ...]]:
+    def _blocks(self, out=None, worker=None) -> Iterator[tuple[NDArray[np.float64]]]:
         r = self._recipe
-        return _record_blocks((r.source,), r.config, r.n, r.seed, r.streams, out=out)
+        return _record_blocks(
+            (r.source,), r.config, r.n, r.seed, r.streams, out=out, worker=worker
+        )
 
     @property
     def s1(self) -> NDArray[np.complex128]:
@@ -355,15 +357,29 @@ class RecordBatch:
         return self._store
 
     def chunks(self, size: int | None = None) -> Iterator[NDArray[np.float64]]:
-        """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK)."""
+        """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK).
+
+        `size` must be an integer >= 1 (ValueError otherwise); it is checked
+        before anything is drawn.
+        """
+        if size is not None:
+            size = operator.index(size)
+            if size < 1:
+                raise ValueError(f"chunk size must be >= 1, got {size}")
         if self._store is None and size in (None, _MEASURE_CHUNK):
-            with contextlib.closing(self._blocks()) as blocks:
-                for (block,) in blocks:
-                    block.setflags(write=False)
-                    yield block
-            return
+            return self._streamed()
+        return self._sliced(_MEASURE_CHUNK if size is None else size)
+
+    def _streamed(self, worker: Executor | None = None) -> Iterator[NDArray[np.float64]]:
+        """The unread recipe's blocks, drawn one at a time by a record pass
+        on `worker` (a one-thread executor; None: one of the pass's own)."""
+        with contextlib.closing(self._blocks(worker=worker)) as blocks:
+            for (block,) in blocks:
+                block.setflags(write=False)
+                yield block
+
+    def _sliced(self, size: int) -> Iterator[NDArray[np.float64]]:
         store = self.quadratures()
-        size = _MEASURE_CHUNK if size is None else size
         for start in range(0, len(store), size):
             yield store[start : start + size]
 

@@ -220,7 +220,7 @@ class PsdFit:
 # spike on one sample can pull the best fit) up to 1e5 span (beyond which the
 # profile cost of a spectrum without a peak is flat to rounding)
 _LOG_B_STEPS = np.linspace(0.0, np.log(1e14), 101)
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0  # the shorter golden-section share
 _LOG_B_TOL = 1e-6
 _POLISH_STEPS = 50
 
@@ -245,21 +245,82 @@ def _lorentz_sums(log_b, d2, y_dev):
 
 
 def _linear_fit(lor_sum, var, cov, n, y_mean, y_ss):
-    """Least squares of amp * lor + noise with amp, noise >= 0, from the
-    Lorentzian sums; y_ss is the data's sum of squared deviations.  Returns
-    (cost, amp, noise), the cost being the residual sum of squares.
+    """Least squares of amp * lor + noise with amp, noise >= 0, from arrays
+    of Lorentzian sums (one entry per bandwidth); y_ss is the data's sum of
+    squared deviations.  Returns arrays (cost, amp, noise), the cost being
+    the residual sum of squares.
     """
-    amp = cov / var if var > 0.0 else 0.0  # var = 0: lor is flat, amp is free
-    noise = y_mean - amp * lor_sum / n
-    if amp >= 0.0 and noise >= 0.0:
-        return y_ss - amp * cov, amp, noise
-    # the optimum lies on an edge of the quadrant, amp = 0 or noise = 0
-    flat_noise = max(y_mean, 0.0)
-    flat = (y_ss + n * (y_mean - flat_noise) ** 2, 0.0, flat_noise)
-    lor_y = cov + y_mean * lor_sum
-    peak_amp = max(lor_y / (var + lor_sum**2 / n), 0.0)
-    peak = (y_ss + n * y_mean**2 - peak_amp * lor_y, peak_amp, 0.0)
-    return min(flat, peak)  # by cost; a tie keeps the flat fit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # var = 0: lor is flat, amp is free
+        amp = np.where(var > 0.0, cov / var, 0.0)
+        noise = y_mean - amp * lor_sum / n
+        # off the quadrant the optimum lies on an edge, amp = 0 or noise = 0
+        flat_noise = max(y_mean, 0.0)
+        flat_cost = y_ss + n * (y_mean - flat_noise) ** 2
+        lor_y = cov + y_mean * lor_sum
+        # float_power is C pow, as ** 2 of one float is; ** 2 of an array is
+        # x * x, which differs from pow in the last bit for about one value
+        # in a thousand
+        peak_amp = np.maximum(lor_y / (var + np.float_power(lor_sum, 2) / n), 0.0)
+        peak_cost = y_ss + n * y_mean**2 - peak_amp * lor_y
+    inside = (amp >= 0.0) & (noise >= 0.0)
+    peak = ~inside & (peak_cost < flat_cost)  # a tie keeps the flat fit
+    return (
+        np.where(inside, y_ss - amp * cov, np.where(peak, peak_cost, flat_cost)),
+        np.where(inside, amp, np.where(peak, peak_amp, 0.0)),
+        np.where(inside, noise, np.where(peak, 0.0, flat_noise)),
+    )
+
+
+def _brent_min(func, lo, hi, x, fx, tol):
+    """Brent's minimizer (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5) of a unimodal `func` on [lo, hi], started at
+    x in it with fx = func(x).  `func` returns a tuple whose first item is
+    the value to minimize.  Each step fits a parabola through the three best
+    points and falls back to a golden-section step where the parabola would
+    leave the bracket or not shrink it fast enough.  Stops once the bracket
+    around the best point is at most `tol` wide; returns that point and its
+    func tuple.
+    """
+    tol1 = tol / 4.0  # least step; the bracket ends within 2 tol1 of x
+    w, fw, v, fv = x, fx, x, fx
+    # the last step, and the step before it (for a golden step, the distance
+    # to the far end of the bracket)
+    step = prev = 0.0
+    while max(x - lo, hi - x) > 2.0 * tol1:
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(prev) > tol1:
+            r = (x - w) * (fx[0] - fv[0])
+            q = (x - v) * (fx[0] - fw[0])
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            # accept the parabola's vertex if it lies inside the bracket and
+            # moves less than half the step before last
+            if abs(p) < abs(0.5 * q * prev) and q * (lo - x) < p < q * (hi - x):
+                prev, step = step, p / q
+                golden = False
+                u = x + step
+                if u - lo < 2.0 * tol1 or hi - u < 2.0 * tol1:
+                    step = tol1 if mid >= x else -tol1
+        if golden:
+            prev = (lo - x) if x >= mid else (hi - x)
+            step = _GOLDEN_STEP * prev
+        if abs(step) < tol1:
+            step = tol1 if step >= 0.0 else -tol1
+        u = x + step
+        fu = func(u)
+        if fu[0] <= fx[0]:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (lo, u) if u >= x else (u, hi)
+            if fu[0] <= fw[0] or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu[0] <= fv[0] or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _residual_jacobian(x, deltas, values):
@@ -282,12 +343,14 @@ def fit_psd(samples) -> PsdFit:
     by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)): for a fixed B the model is linear in (g0 - 1, n_noise), solved
     in closed form with the bounds as clamps.  ln B is bracketed on a coarse
-    grid from the bound to 1e5 spans and narrowed by golden section to
-    1e-6.  An interior optimum is then polished in all three parameters by
-    Gauss-Newton steps with the analytic Jacobian until the relative step is
-    below 1e-12 or the cost stops falling; more than 50 steps raise
-    NoConvergenceError.  Standard errors are s^2 pinv(J^T J) at the fit.
-    Exactly flat data collapses to the identifiable limit (g0 -> 1,
+    grid from the bound to 1e5 spans and narrowed by Brent's method
+    (parabolic steps with a golden-section fallback; R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973) to a bracket
+    1e-6 wide.  An interior optimum is then polished in all three
+    parameters by Gauss-Newton steps with the analytic Jacobian until the
+    relative step is below 1e-12 or the cost stops falling; more than 50
+    steps raise NoConvergenceError.  Standard errors are s^2 pinv(J^T J) at
+    the fit.  Exactly flat data collapses to the identifiable limit (g0 -> 1,
     n_noise = mean).  Where the best fit has no peak (g0 = 1, as for data
     rising away from delta = 0 or lying below zero) the bandwidth is
     unidentified: it and the g0 and bandwidth errors are nan, and n_noise
@@ -322,27 +385,21 @@ def fit_psd(samples) -> PsdFit:
     y_ss = float(y_dev @ y_dev)
 
     def profile(log_b):
-        """(cost, g0 - 1, n_noise) at each bandwidth exp(log_b)."""
-        sums = _lorentz_sums(np.atleast_1d(log_b), d2, y_dev)
-        return [_linear_fit(*row, n, y_mean, y_ss) for row in zip(*sums)]
+        """(cost, g0 - 1, n_noise) arrays over the bandwidths exp(log_b)."""
+        return _linear_fit(*_lorentz_sums(log_b, d2, y_dev), n, y_mean, y_ss)
+
+    def line_point(log_b):
+        return tuple(float(a[0]) for a in profile(np.array([log_b])))
 
     grid = np.log(b_min) + _LOG_B_STEPS
-    k = int(np.argmin([c for c, _, _ in profile(grid)]))
+    grid_fits = profile(grid)
+    k = int(np.argmin(grid_fits[0]))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-
-    # golden section on the bracket, which holds the grid minimum
-    t1, t2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    p1, p2 = profile([t1, t2])
-    while hi - lo > _LOG_B_TOL:
-        if p1[0] <= p2[0]:
-            hi, t2, p2 = t2, t1, p1
-            t1 = hi - _GOLDEN * (hi - lo)
-            (p1,) = profile(t1)
-        else:
-            lo, t1, p1 = t1, t2, p2
-            t2 = lo + _GOLDEN * (hi - lo)
-            (p2,) = profile(t2)
-    log_b, (_, amp, noise) = (t1, p1) if p1[0] <= p2[0] else (t2, p2)
+    # Brent's method on the bracket, which holds the grid minimum
+    start = tuple(float(a[k]) for a in grid_fits)
+    log_b, (_, amp, noise) = _brent_min(
+        line_point, float(lo), float(hi), float(grid[k]), start, _LOG_B_TOL
+    )
     if amp == 0.0:
         # no peak above the floor: every bandwidth fits equally well
         resid = noise - values

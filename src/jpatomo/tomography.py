@@ -206,9 +206,16 @@ class Histogram2D:
             writer.writerows(self.counts.tolist())
 
 
-def _iter_quadrature_blocks(records) -> Iterator[NDArray[np.float64]]:
+def _iter_quadrature_blocks(
+    records, worker: Executor | None = None
+) -> Iterator[NDArray[np.float64]]:
+    """Blocks of a RecordBatch or an (n, 4) array; an unread recipe is drawn
+    by a record pass on `worker` (None: one of the pass's own)."""
     if isinstance(records, RecordBatch):
-        yield from records.chunks()
+        if records._store is None:
+            yield from records._streamed(worker)
+        else:
+            yield from records.chunks()
         return
     arr = np.asarray(records, dtype=np.float64)
     if arr.ndim == 2 and arr.shape[1] == 4:
@@ -812,7 +819,8 @@ def estimate_state(
     A pump-on/pump-off pair of unread `measure` recipes that differ only in
     the pump setting is drawn once, for both, in O(chunk) memory, by a
     record pass that shares the estimate's one worker thread; any other
-    pair streams each side's blocks.
+    pair streams each side's blocks, an unread recipe by a record pass on
+    that same worker.
     """
     with (
         ThreadPoolExecutor(max_workers=1) as worker,
@@ -831,15 +839,15 @@ def estimate_state(
 
 
 def _paired_blocks(records_on, records_off, worker: Executor):
-    """(pump-on, pump-off) quadrature block pairs; a matched recipe pair is
-    drawn once, on `worker`."""
+    """(pump-on, pump-off) quadrature block pairs: a matched recipe pair is
+    drawn once, any other pair side by side, every record pass on `worker`."""
     fused = _paired_record_blocks(records_on, records_off, worker)
     if fused is not None:
         yield from fused
         return
     with (
-        contextlib.closing(_iter_quadrature_blocks(records_on)) as on,
-        contextlib.closing(_iter_quadrature_blocks(records_off)) as off,
+        contextlib.closing(_iter_quadrature_blocks(records_on, worker)) as on,
+        contextlib.closing(_iter_quadrature_blocks(records_off, worker)) as off,
     ):
         yield from zip_longest(on, off, fillvalue=np.empty((0, 4)))
 

@@ -31,6 +31,7 @@ from jpatomo.config import (
     save_config,
 )
 from jpatomo.detection import RecordBatch, measure
+from jpatomo.device import gain, gain_profile
 from jpatomo.errors import ConfigError, NumericsError
 from jpatomo.gaussian import tms_theory_covariance
 from jpatomo.tomography import PAIR_LABELS, WignerGrid, estimate_state
@@ -66,6 +67,30 @@ def test_default_config_round_trip_is_idempotent():
     text = dumps_config(cfg)
     again = dumps_config(parse_config(json.loads(text)))
     assert text == again
+
+
+def _asdict_dumps(cfg) -> str:
+    """dumps_config as it was written through dataclasses.asdict."""
+    out = {"schema_version": SCHEMA_VERSION}
+    for section in ("device", "pump", "filter", "detection", "run"):
+        value = dataclasses.asdict(getattr(cfg, section))
+        for name, item in value.items():
+            if isinstance(item, tuple):
+                value[name] = list(item)
+        out[section] = value
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_config_equals_the_asdict_form():
+    cfg = default_config()
+    changed = dataclasses.replace(
+        cfg,
+        run=dataclasses.replace(cfg.run, gain_map_powers_dbm=(-85.0, -84.5, -82.25)),
+        filter=dataclasses.replace(cfg.filter, span_hz=3.0e7),
+    )
+    for config in (cfg, changed):
+        assert dumps_config(config) == _asdict_dumps(config)
+    assert '"gain_map_powers_dbm": [\n      -85.0,' in dumps_config(changed)
 
 
 def test_default_config_values():
@@ -177,6 +202,44 @@ def test_flux_sweep_outputs(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0)
     assert manifest["results"]["monotone_decreasing"] is True
     assert set(manifest["outputs"]) == {"config.json", "flux_sweep.csv"}
+
+
+def _csv_module_bytes(path, header, rows) -> bytes:
+    """What `cli._write_csv` wrote through the csv module, row by row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+    return path.read_bytes()
+
+
+def test_write_csv_bytes_equal_the_csv_module(tmp_path):
+    values = np.array(
+        [-1.5, 1e-300, -6.02e23, np.nan, np.inf, -np.inf, 3.0, -0.0, 0.1 + 0.2, 2.0**60]
+    )
+    columns = (values, values[::-1].copy(), np.arange(values.size, dtype=np.float64))
+    header = ("delta_hz", "s_true", "gain")
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "old.csv", header, zip(*columns)
+    )
+
+
+def test_gain_map_csv_bytes_equal_the_csv_module(tmp_path):
+    # the old rows mixed a config power (a Python number) with numpy values
+    cfg = small_run(gain_map_powers_dbm=(-84, -82.5, -81.25))
+    run_scenario("gain-map", cfg, tmp_path)
+    run = cfg.run
+    device, anchor, base = cfg.device.build(), cfg.pump.build_anchor(), cfg.pump.build()
+    span = 2.0 * np.pi * run.gain_span_hz
+    delta = np.linspace(-span / 2, span / 2, run.gain_points)
+    rows = []
+    for power in run.gain_map_powers_dbm:
+        profile = gain_profile(dataclasses.replace(base, power_dbm=power), device, anchor)
+        rows.extend((power, d, g) for d, g in zip(delta / (2.0 * np.pi), gain(delta, profile)))
+    want = _csv_module_bytes(tmp_path / "old.csv", ("power_dbm", "delta_hz", "gain"), rows)
+    assert (tmp_path / "gain_map.csv").read_bytes() == want
 
 
 def test_reflection_outputs(tmp_path):

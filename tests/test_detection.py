@@ -578,6 +578,19 @@ def test_record_batch_chunks_cover_all_records():
     np.testing.assert_array_equal(np.vstack(blocks), batch.quadratures())
 
 
+@pytest.mark.parametrize("size", [0, -1, -256])
+def test_record_batch_chunks_reject_a_size_below_one_before_drawing(draws, size):
+    batch = measure(vacuum_state(2), DetectionConfig(), 1000, seed=2)
+    stored = RecordBatch._wrap(np.zeros((10, 4)))
+    for records in (batch, stored):
+        with pytest.raises(ValueError, match="chunk size must be >= 1"):
+            records.chunks(size)
+    with pytest.raises(TypeError):
+        batch.chunks(2.0)
+    assert draws == [] and batch._store is None
+    assert [b.shape[0] for b in batch.chunks(np.int64(400))] == [400, 400, 200]
+
+
 def test_record_batch_binary_roundtrip(tmp_path):
     batch = measure(two_mode_squeeze(vacuum_state(2), 1.3), DetectionConfig(), 64, seed=3)
     path = tmp_path / "records.bin"

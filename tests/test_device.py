@@ -332,6 +332,88 @@ def test_fit_psd_without_a_peak_reports_no_bandwidth(values, n_noise):
     assert _psd_cost(fit, samples) <= cost_ref * (1.0 + 1e-7)
 
 
+def _scalar_linear_fit(lor_sum, var, cov, n, y_mean, y_ss):
+    """`device._linear_fit` for one bandwidth, as fit_psd looped it over
+    the ln B grid before the fit was written over arrays."""
+    amp = cov / var if var > 0.0 else 0.0
+    noise = y_mean - amp * lor_sum / n
+    if amp >= 0.0 and noise >= 0.0:
+        return y_ss - amp * cov, amp, noise
+    flat_noise = max(y_mean, 0.0)
+    flat = (y_ss + n * (y_mean - flat_noise) ** 2, 0.0, flat_noise)
+    lor_y = cov + y_mean * lor_sum
+    peak_amp = max(lor_y / (var + lor_sum**2 / n), 0.0)
+    peak = (y_ss + n * y_mean**2 - peak_amp * lor_y, peak_amp, 0.0)
+    return min(flat, peak)
+
+
+def _grid_sums(values):
+    """(lor_sum, var, cov), n, y_mean, y_ss of `values` over a ln B grid."""
+    deltas = np.linspace(-3.0, 3.0, len(values))
+    y_mean = float(values.mean())
+    y_dev = values - y_mean
+    log_b = np.linspace(np.log(1e-3), np.log(1e3), 61)
+    sums = device._lorentz_sums(log_b, (2.0 * deltas) ** 2, y_dev)
+    return sums, values.size, y_mean, float(y_dev @ y_dev)
+
+
+_LOR = 1.0 / (1.0 + (2.0 * np.linspace(-3.0, 3.0, 41)) ** 2)
+
+
+@pytest.mark.parametrize(
+    ("case", "branch"),
+    [
+        (_grid_sums(3.0 + 4.0 * _LOR), "interior"),
+        (_grid_sums(4.0 * _LOR - 1.0), "peak"),  # noise < 0 inside: noise = 0
+        (_grid_sums(5.0 - 2.0 * _LOR), "flat"),  # a dip, amp < 0 inside: amp = 0
+        (((np.array([4.0, 2.0]), np.zeros(2), np.zeros(2)), 4, 2.0, 3.0), "var=0"),
+        (((np.array([4.0, 2.0]), np.zeros(2), np.zeros(2)), 4, -1.0, 3.0), "var=0"),
+        # both edge costs round to y_ss: the flat fit is kept over a peak
+        (((np.array([2.0]), np.array([0.5]), np.array([2.0])), 4, 1.0, 1e20), "tie"),
+        # a tie of two equal fits: amp = noise = 0
+        (((np.array([2.0]), np.array([0.5]), np.array([-3.0])), 4, -1.0, 7.0), "tie"),
+    ],
+    ids=["interior", "peak-edge", "flat-edge", "var0", "var0-negative-mean", "tie", "tie-equal"],
+)
+def test_linear_fit_over_arrays_equals_the_scalar_form(case, branch):
+    (lor_sum, var, cov), n, y_mean, y_ss = case
+    got = device._linear_fit(lor_sum, var, cov, n, y_mean, y_ss)
+    want = [_scalar_linear_fit(*row, n, y_mean, y_ss) for row in zip(lor_sum, var, cov)]
+    np.testing.assert_array_equal(np.stack(got), np.array(want).T)
+    cost, amp, noise = got
+    if branch == "interior":
+        assert np.any((amp > 0.0) & (noise > 0.0))
+    elif branch == "peak":
+        assert np.any((amp > 0.0) & (noise == 0.0))
+    elif branch == "flat":
+        assert np.any((amp == 0.0) & (noise == y_mean))
+    elif branch == "var=0":
+        assert np.all(amp == 0.0) and np.all(noise == max(y_mean, 0.0))
+    else:
+        assert np.all(amp == 0.0)
+        flat_cost = y_ss + n * (y_mean - max(y_mean, 0.0)) ** 2
+        assert np.all(cost == flat_cost) and np.all(noise == max(y_mean, 0.0))
+
+
+def test_fit_psd_line_search_is_brent(monkeypatch):
+    # golden section took 30 evaluations to narrow the bracket to
+    # _LOG_B_TOL on these spectra; Brent's parabolic steps need well under 15
+    calls = []
+    sums = device._lorentz_sums
+
+    def counted(log_b, d2, y_dev):
+        calls.append(np.size(log_b))
+        return sums(log_b, d2, y_dev)
+
+    monkeypatch.setattr(device, "_lorentz_sums", counted)
+    for offset in range(50):
+        del calls[:]
+        fit_psd(_default_psd_samples(offset))
+        assert calls[0] == device._LOG_B_STEPS.size  # the whole grid in one call
+        assert all(size == 1 for size in calls[1:])
+        assert 1 <= len(calls) - 1 <= 15
+
+
 def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):
     prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
     deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)

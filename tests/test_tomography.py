@@ -813,8 +813,9 @@ def test_recipe_pair_estimate_equals_stored_copies(monkeypatch, draws, method, n
 
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
 @pytest.mark.parametrize("differ", ["seed", "n", "streams", "config", "read"])
-def test_unmatched_recipe_pair_draws_each_side(draws, method, differ):
+def test_unmatched_recipe_pair_draws_each_side(monkeypatch, draws, method, differ):
     # a mixed state: independent pump-on/pump-off draws still give a physical estimate
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
     state = tms_theory_covariance(1.0, 0.5)
     on_args = dict(config=_LOW_NOISE, n=20_000, seed=3, streams=1)
     off_args = dict(on_args)
@@ -830,9 +831,29 @@ def test_unmatched_recipe_pair_draws_each_side(draws, method, differ):
     off = measure(state, pump_on=False, **off_args)
     if differ == "read":
         off.quadratures()
+    # each side's record pass draws on the estimate's one worker, which also
+    # adds the pump-off blocks: no thread beyond it while this thread adds
+    # the pump-on blocks
+    caller = threading.active_count()
+    sampled = []
+
+    def watched(add):
+        def consumer(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                sampled.append(threading.active_count())
+            return add(*args, **kwargs)
+
+        return consumer
+
+    if method == "histogram":
+        monkeypatch.setattr(tomography, "_histogram_block", watched(tomography._histogram_block))
+    else:
+        monkeypatch.setattr(MomentAccumulator, "update", watched(MomentAccumulator.update))
     _assert_same_estimate(_estimate_or_error(on, off, method), want)
     assert not isinstance(want, Exception)
     assert len(draws) == 2
+    assert len(sampled) >= 5 and max(sampled) <= caller + 1
+    assert threading.active_count() == caller
 
 
 def test_failed_recipe_estimate_joins_the_draw_worker(monkeypatch):
