@@ -7,6 +7,9 @@ c in  sqrt(G0) * B = c * kappa  is chosen so that the default filter pair
 to the default operating point (peak gain 100) yields a predicted squeezing
 parameter of exactly 1.75.  Run this after touching any of those defaults and
 paste the printed value into device.GAIN_BANDWIDTH_CONST.
+
+It root-finds with scipy's brentq, so it needs the `test` extra
+(pip install -e ".[test]"); the package itself runs on numpy alone.
 """
 
 import dataclasses

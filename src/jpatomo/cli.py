@@ -3,9 +3,10 @@ directory.
 
 Every scenario writes deterministic data files (CSV/JSON, repr-formatted
 floats, sorted JSON keys) plus a manifest.json recording the config hash,
-library versions, wall-clock time, a SHA-256 per output file, and a summary
-of headline results.  Reruns with the same config and seed reproduce every
-data file byte for byte; only the manifest (wall clock) differs.
+library versions, wall-clock time, a SHA-256 per file the scenario wrote,
+and a summary of headline results.  Reruns with the same config and seed
+reproduce every data file byte for byte; only the manifest (wall clock)
+differs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 failure.
@@ -25,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -39,26 +39,38 @@ from .detection import _record_blocks, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
 from .errors import ConfigError, NumericsError
 from .gaussian import tms_theory_covariance, vacuum_state
-from .tomography import WignerGrid, estimate_from_blocks
+from .tomography import WignerGrid, _write_text, estimate_from_blocks
 
 TWO_PI = 2.0 * np.pi
 
-# rng namespace for scenario-level noise, disjoint from the measurement
-# streams' (stream, channel) spawn keys
+# rng namespace for scenario-level noise, disjoint from the (0, channel)
+# spawn keys of the record draws
 _PSD_NOISE_KEY = 1_000_003
 
 
-def _write_csv(path, header, columns) -> None:
+class _Outputs:
+    """The files a scenario writes into `directory`: name -> SHA-256 of the
+    bytes written, as each writer returns it."""
+
+    def __init__(self, directory: Path) -> None:
+        self.directory = directory
+        self.digests: dict[str, str] = {}
+
+    def write(self, name: str, writer, *args) -> None:
+        """writer(directory / name, *args), which returns the digest."""
+        self.digests[name] = writer(self.directory / name, *args)
+
+
+def _write_csv(path, header, columns) -> str:
     """A header row, then one row of float reprs per index of the
     equal-length `columns`: the csv module's excel dialect, written as one
     string (a float repr holds no delimiter or quote, so no field is
-    quoted)."""
+    quoted).  Returns the file's SHA-256."""
     lines = [",".join(header) + "\r\n"]
     lines.extend(
         ",".join(map(repr, row)) + "\r\n" for row in np.column_stack(columns).tolist()
     )
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    return _write_text(path, "".join(lines))
 
 
 def _json_ready(value):
@@ -72,20 +84,20 @@ def _json_ready(value):
     return value
 
 
-def _write_json(path, payload) -> None:
-    """Strict JSON: a non-finite float is written as null, never as NaN."""
-    with open(path, "w") as fh:
-        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _write_json(path, payload) -> str:
+    """Strict JSON: a non-finite float is written as null, never as NaN.
+    Returns the file's SHA-256."""
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
+    return _write_text(path, text + "\n")
 
 
-def _run_flux_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _run_flux_sweep(cfg: ExperimentConfig, out: _Outputs) -> dict:
     run = cfg.run
     device = cfg.device.build()
     phi = np.linspace(run.flux_min, run.flux_max, run.flux_points)
     omega_r = resonance_frequency(phi, device)
     freq_hz = omega_r / TWO_PI
-    _write_csv(out_dir / "flux_sweep.csv", ("phi", "omega_r_hz"), (phi, freq_hz))
+    out.write("flux_sweep.csv", _write_csv, ("phi", "omega_r_hz"), (phi, freq_hz))
     return {
         "phi_min": float(phi[0]),
         "phi_max": float(phi[-1]),
@@ -96,15 +108,16 @@ def _run_flux_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
-def _run_reflection(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _run_reflection(cfg: ExperimentConfig, out: _Outputs) -> dict:
     run = cfg.run
     device = cfg.device.build()
     span = TWO_PI * run.reflection_span_hz
     delta = np.linspace(-span / 2, span / 2, run.reflection_points)
     omega_r = resonance_frequency(0.0, device)
     gamma = reflection(omega_r + delta, device)
-    _write_csv(
-        out_dir / "reflection.csv",
+    out.write(
+        "reflection.csv",
+        _write_csv,
         ("delta_hz", "re", "im", "abs"),
         (delta / TWO_PI, gamma.real, gamma.imag, np.abs(gamma)),
     )
@@ -118,7 +131,7 @@ def _run_reflection(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
-def _run_gain_map(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _run_gain_map(cfg: ExperimentConfig, out: _Outputs) -> dict:
     run = cfg.run
     device = cfg.device.build()
     anchor = cfg.pump.build_anchor()
@@ -141,7 +154,7 @@ def _run_gain_map(cfg: ExperimentConfig, out_dir: Path) -> dict:
         np.tile(delta / TWO_PI, powers.size),
         np.concatenate(gains),
     )
-    _write_csv(out_dir / "gain_map.csv", ("power_dbm", "delta_hz", "gain"), columns)
+    out.write("gain_map.csv", _write_csv, ("power_dbm", "delta_hz", "gain"), columns)
     return {
         "powers_dbm": [float(p) for p in run.gain_map_powers_dbm],
         "points_per_power": int(delta.size),
@@ -149,7 +162,7 @@ def _run_gain_map(cfg: ExperimentConfig, out_dir: Path) -> dict:
     }
 
 
-def _run_psd(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _run_psd(cfg: ExperimentConfig, out: _Outputs) -> dict:
     run = cfg.run
     device = cfg.device.build()
     profile = gain_profile(cfg.pump.build(), device, cfg.pump.build_anchor())
@@ -169,8 +182,9 @@ def _run_psd(cfg: ExperimentConfig, out_dir: Path) -> dict:
         s_fit = np.full_like(delta, fit.n_noise)
     else:
         s_fit = (fit.g0 - 1.0) / (1.0 + (2.0 * delta / fit.bandwidth) ** 2) + fit.n_noise
-    _write_csv(
-        out_dir / "psd.csv",
+    out.write(
+        "psd.csv",
+        _write_csv,
         ("delta_hz", "s_true", "s_noisy", "s_fit"),
         (delta / TWO_PI, s_true, s_noisy, s_fit),
     )
@@ -186,7 +200,7 @@ def _run_psd(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "true_n_noise": float(cfg.detection.n_noise),
         "noise_sigma": float(run.psd_noise_sigma),
     }
-    _write_json(out_dir / "psd_fit.json", fit_payload)
+    out.write("psd_fit.json", _write_json, fit_payload)
     return fit_payload
 
 
@@ -194,22 +208,28 @@ def _pair_key(labels) -> str:
     return f"{labels[0].lower()}_{labels[1].lower()}"
 
 
-def _saved_blocks(blocks, out_dir: Path):
+def _saved_blocks(blocks, out: _Outputs):
     """Pass (pump-on, pump-off) block pairs through, appending each block to
     records_on.bin / records_off.bin (little-endian float64, record-major,
-    columns X1, P1, X2, P2).  Closing it closes `blocks` too."""
+    columns X1, P1, X2, P2), whose digests go to `out` once the last pair
+    has passed.  Closing it closes `blocks` too."""
+    names = ("records_on.bin", "records_off.bin")
+    hashes = [hashlib.sha256(), hashlib.sha256()]
     with (
         contextlib.closing(blocks),
-        open(out_dir / "records_on.bin", "wb") as fh_on,
-        open(out_dir / "records_off.bin", "wb") as fh_off,
+        open(out.directory / names[0], "wb") as fh_on,
+        open(out.directory / names[1], "wb") as fh_off,
     ):
-        for on, off in blocks:
-            on.astype("<f8", copy=False).tofile(fh_on)
-            off.astype("<f8", copy=False).tofile(fh_off)
-            yield on, off
+        for pair in blocks:
+            for block, fh, digest in zip(pair, (fh_on, fh_off), hashes):
+                data = block.astype("<f8", copy=False)
+                data.tofile(fh)
+                digest.update(data)
+            yield pair
+    out.digests.update(zip(names, (digest.hexdigest() for digest in hashes)))
 
 
-def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
     run = cfg.run
     device = cfg.device.build()
     filt = cfg.filter.build()
@@ -227,7 +247,7 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
             (state, vacuum_state(2)), det, run.n_records, run.seed, worker=worker
         )
         if run.save_records:
-            blocks = _saved_blocks(blocks, out_dir)
+            blocks = _saved_blocks(blocks, out)
         with contextlib.closing(blocks):  # closes the record files on failure too
             est = estimate_from_blocks(
                 blocks,
@@ -240,7 +260,7 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 worker=worker,
             )
     result = est.tomography
-    result.save_json(out_dir / "covariance.json")
+    out.write("covariance.json", result.save_json)
 
     if est.histograms_on is not None:
         envelope = {
@@ -255,18 +275,18 @@ def _run_tomography(cfg: ExperimentConfig, out_dir: Path) -> dict:
             for pair, hist in hists.items():
                 key = _pair_key(pair)
                 fname = f"hist_{setting}_{key}.csv"
-                hist.to_csv(out_dir / fname)
+                out.write(fname, hist.to_csv)
                 envelope[f"pump_{setting}"][key] = {
                     "file": fname,
                     "labels": list(pair),
                     "n_total": int(hist.n_total),
                     "overflow": int(hist.overflow),
                 }
-        _write_json(out_dir / "histograms.json", envelope)
+        out.write("histograms.json", _write_json, envelope)
 
     for name, marginal in result.marginals.items():
-        marginal.to_csv(out_dir / f"wigner_{name}.csv", column="measured")
-        marginal.to_csv(out_dir / f"wigner_{name}_ideal.csv", column="ideal")
+        out.write(f"wigner_{name}.csv", marginal.to_csv, "measured")
+        out.write(f"wigner_{name}_ideal.csv", marginal.to_csv, "ideal")
 
     return {
         "state_source": run.state_source,
@@ -296,34 +316,26 @@ def run_scenario(name: str, config: ExperimentConfig, out_dir) -> dict:
     """Run one scenario, write its files plus manifest.json, return the manifest."""
     if name not in _RUNNERS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {list(SCENARIOS)}")
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    config_text = dumps_config(config)
-    with open(out_path / "config.json", "w") as fh:
-        fh.write(config_text)
+    out = _Outputs(Path(out_dir))
+    out.directory.mkdir(parents=True, exist_ok=True)
+    out.write("config.json", _write_text, dumps_config(config))
     started = time.perf_counter()
-    results = _RUNNERS[name](config, out_path)
+    results = _RUNNERS[name](config, out)
     elapsed = time.perf_counter() - started
-    outputs = {}
-    for child in sorted(out_path.iterdir()):
-        if child.name == "manifest.json" or not child.is_file():
-            continue
-        outputs[child.name] = hashlib.sha256(child.read_bytes()).hexdigest()
     manifest = {
         "scenario": name,
         "seed": int(config.run.seed),
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_sha256": out.digests["config.json"],
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "wall_clock_s": elapsed,
-        "outputs": outputs,
+        "outputs": dict(sorted(out.digests.items())),
         "results": results,
     }
-    _write_json(out_path / "manifest.json", manifest)
+    _write_json(out.directory / "manifest.json", manifest)
     return manifest
 
 

@@ -36,8 +36,6 @@ ESTIMATION_METHODS = ("histogram", "streaming")
 @dataclass(frozen=True)
 class DeviceSection:
     omega_r_max_hz: float = 6.9e9
-    e_j_max_hz: float = 6.1e12
-    kerr_hz: float = -1932.0
     kappa_hz: float = 25.0e6
     gamma_i_hz: float = 2.0e6
     participation: float = 0.03
@@ -46,8 +44,6 @@ class DeviceSection:
     def build(self) -> DeviceParams:
         return DeviceParams(
             omega_r_max=TWO_PI * self.omega_r_max_hz,
-            e_j_max=self.e_j_max_hz,
-            kerr_k=TWO_PI * self.kerr_hz,
             kappa=TWO_PI * self.kappa_hz,
             gamma_i=TWO_PI * self.gamma_i_hz,
             participation=self.participation,
@@ -107,8 +103,6 @@ class DetectionSection:
     n_noise_ch2: float | None = None
     gain_ch1: float = 1.0
     gain_ch2: float = 1.02
-    sample_period_s: float = 10e-9
-    lo_offset_hz: float = 5.0e6
 
     def build(self) -> DetectionConfig:
         return DetectionConfig(
@@ -116,8 +110,6 @@ class DetectionSection:
             n_noise_ch2=self.n_noise_ch2,
             gain_ch1=self.gain_ch1,
             gain_ch2=self.gain_ch2,
-            sample_period=self.sample_period_s,
-            lo_offset=TWO_PI * self.lo_offset_hz,
         )
 
 
@@ -188,6 +180,12 @@ _INT_FIELDS = {
     ("run", "gain_points"),
 }
 _SEQUENCE_FIELDS = {("run", "gain_map_powers_dbm")}
+# keys of earlier schema-v1 files that fed no computation: still accepted,
+# and ignored, so every saved config.json loads
+_RETIRED_KEYS = {
+    "device": {"e_j_max_hz", "kerr_hz"},
+    "detection": {"sample_period_s", "lo_offset_hz"},
+}
 
 
 def _number(path: str, value) -> float:
@@ -248,11 +246,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{section}: expected a JSON object")
         known = {f.name for f in fields(cls)}
-        bad = set(raw) - known
+        bad = set(raw) - known - _RETIRED_KEYS.get(section, set())
         if bad:
             raise ConfigError(f"unknown key(s) in '{section}': {sorted(bad)}")
         kwargs = {
-            name: _coerce(section, name, value) for name, value in raw.items()
+            name: _coerce(section, name, value)
+            for name, value in raw.items()
+            if name in known
         }
         try:
             sections[section] = cls(**kwargs)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import operator
 import threading
-from bisect import bisect_right
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -36,7 +35,7 @@ _NORMALIZATION_TOL = 1e-10
 # Records per record block.  A pass holds two blocks' pump-on and pump-off
 # pairs and the next block's z and aux draws, 2 MB each, at once: the worker
 # adds block k's pump-off block while this thread draws block k + 1 (see
-# _record_blocks).  No result depends on it: the random streams are read in
+# _record_blocks).  No result depends on it: the two generators are read in
 # record order whatever the block, and the moment sums run on a _HIST_SUB
 # cell grid of their own.
 _MEASURE_CHUNK = 1 << 16
@@ -230,16 +229,13 @@ class DetectionConfig:
 
     n_noise is the added noise of the output line in photons referred to the
     amplifier output (both channels; n_noise_ch2 overrides channel 2 when the
-    chains differ).  gain_ch1/gain_ch2 are dimensionless record scalings,
-    sample_period and lo_offset are carried for throughput metadata.
+    chains differ).  gain_ch1/gain_ch2 are dimensionless record scalings.
     """
 
     n_noise: float = 69.0
     n_noise_ch2: float | None = None
     gain_ch1: float = 1.0
     gain_ch2: float = 1.02
-    sample_period: float = 10e-9
-    lo_offset: float = 2.0 * np.pi * 5.0e6
 
     def __post_init__(self) -> None:
         if self.n_noise < 0:
@@ -248,8 +244,6 @@ class DetectionConfig:
             raise ValueError("n_noise_ch2 must be >= 0")
         if self.gain_ch1 <= 0 or self.gain_ch2 <= 0:
             raise ValueError("channel gains must be > 0")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
 
     @property
     def noise_pair(self) -> tuple[float, float]:
@@ -264,7 +258,6 @@ class _Recipe(NamedTuple):
     config: DetectionConfig
     n: int
     seed: int
-    streams: int
 
 
 class RecordBatch:
@@ -330,9 +323,7 @@ class RecordBatch:
 
     def _blocks(self, out=None, worker=None) -> Iterator[tuple[NDArray[np.float64]]]:
         r = self._recipe
-        return _record_blocks(
-            (r.source,), r.config, r.n, r.seed, r.streams, out=out, worker=worker
-        )
+        return _record_blocks((r.source,), r.config, r.n, r.seed, out=out, worker=worker)
 
     @property
     def s1(self) -> NDArray[np.complex128]:
@@ -411,13 +402,9 @@ def _paired_record_blocks(
             return None
     on, off = records_on._recipe, records_off._recipe
     # np.array_equal: a seed may also be a sequence of ints
-    if (on.config, on.n, on.streams) != (off.config, off.n, off.streams) or not (
-        np.array_equal(on.seed, off.seed)
-    ):
+    if (on.config, on.n) != (off.config, off.n) or not np.array_equal(on.seed, off.seed):
         return None
-    return _record_blocks(
-        (on.source, off.source), on.config, on.n, on.seed, on.streams, worker=worker
-    )
+    return _record_blocks((on.source, off.source), on.config, on.n, on.seed, worker=worker)
 
 
 def _record_blocks(
@@ -425,22 +412,19 @@ def _record_blocks(
     config: DetectionConfig,
     n: int,
     seed: int,
-    streams: int = 1,
     out: Sequence[NDArray[np.float64]] | None = None,
     worker: Executor | None = None,
 ) -> Iterator[tuple[NDArray[np.float64], ...]]:
     """Record blocks of every source from one set of random draws.
 
-    The n records split into `streams` contiguous partitions; partition k
-    draws its signal normals z from spawn key (k, 0) and its auxiliary-noise
-    normals from spawn key (k, 1), in record order.  The blocks lie on one
-    global grid of _MEASURE_CHUNK records counted from record 0, whatever
-    `streams` is: a partition boundary splits a block's draw, never the
-    block, so the blocks equal `RecordBatch.chunks()` of the stored records.
-    No record depends on _MEASURE_CHUNK (see _build_block), and the
-    tomography accumulators sum on a grid of _HIST_SUB-record cells of their
-    own, so the block size moves no result; accumulators merged on cell
-    boundaries equal one pass bit for bit.  Each block is drawn once and
+    The signal normals z come from spawn key (0, 0) and the auxiliary-noise
+    normals from spawn key (0, 1), each read in record order.  The blocks lie
+    on one global grid of _MEASURE_CHUNK records counted from record 0, so
+    they equal `RecordBatch.chunks()` of the stored records.  No record
+    depends on _MEASURE_CHUNK (see _build_block), and the tomography
+    accumulators sum on a grid of _HIST_SUB-record cells of their own, so
+    the block size moves no result; accumulators merged on cell boundaries
+    equal one pass bit for bit.  Each block is drawn once and
     yields one C-contiguous (m, 4) block per source,
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
@@ -471,48 +455,22 @@ def _record_blocks(
     noise_sd = _tiled([sd1, -sd1, sd2, -sd2])
     means = [_tiled(source.mean) for source in sources]
     gains = _tiled([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
+    rng_sig, rng_noise = (
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, channel)))
+        )
+        for channel in (0, 1)
+    )
 
-    def rngs(channel: int) -> list[np.random.Generator]:
-        return [
-            np.random.Generator(
-                np.random.PCG64(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(k, channel))
-                )
-            )
-            for k in range(streams)
-        ]
-
-    rngs_sig, rngs_noise = rngs(0), rngs(1)
-    base, extra = divmod(n, streams)
-    # partition k holds records [first[k], first[k + 1])
-    first = [k * base + min(k, extra) for k in range(streams + 1)]
-
-    def parts(start: int, step: int) -> list[tuple[int, int, int]]:
-        """(k, lo, hi): rows [lo, hi) of the block at `start` come from
-        partition k."""
-        stop = start + step
-        k = bisect_right(first, start) - 1
-        found = []
-        while first[k] < stop:
-            found.append((k, max(first[k], start) - start, min(first[k + 1], stop) - start))
-            k += 1
-        return found
-
-    def fill(generators, start: int, step: int):
-        values = np.empty((step, 4))
-        for k, lo, hi in parts(start, step):
-            generators[k].standard_normal(out=values[lo:hi])
-        return values
-
-    def noise(start: int, step: int):
-        aux = fill(rngs_noise, start, step)
+    def noise(step: int):
+        aux = rng_noise.standard_normal(out=np.empty((step, 4)))
         _columnwise(np.multiply, aux, noise_sd)
         return aux
 
     def draw(aux, start: int, step: int):
         # every temporary dies on return: a suspended generator holds nothing
         # but the next block's aux draw
-        z = fill(rngs_sig, start, step)
+        z = rng_sig.standard_normal(out=np.empty((step, 4)))
         aux = aux.result()
         if out is None:
             # one allocation for all sources' blocks: glibc malloc keeps a
@@ -538,7 +496,7 @@ def _record_blocks(
 
     def next_noise(start: int):
         if start < n:
-            return worker.submit(noise, start, min(_MEASURE_CHUNK, n - start))
+            return worker.submit(noise, min(_MEASURE_CHUNK, n - start))
         return None
 
     with contextlib.ExitStack() as stack:
@@ -611,17 +569,17 @@ def measure(
     n: int,
     seed: int,
     pump_on: bool = True,
-    streams: int = 1,
 ) -> RecordBatch:
     """Heterodyne records of the two-mode state, drawn on first read.
 
     With the pump off the signal is replaced by vacuum.  The underlying
-    standard-normal streams depend only on (seed, streams), *not* on the
-    state or pump setting, so pump-on and pump-off runs taken with the same
-    seed share their signal and auxiliary-noise draws; reference subtraction
-    then cancels far more estimator variance than independent references
-    would (the simulated analogue of an interleaved calibration).  Output is
-    deterministic for fixed (seed, n, streams).
+    standard-normal draws depend only on the seed, *not* on the state or
+    pump setting, so pump-on and pump-off runs taken with the same seed
+    share their signal and auxiliary-noise draws; reference subtraction then
+    cancels far more estimator variance than independent references would
+    (the simulated analogue of an interleaved calibration).  Output is
+    deterministic for fixed (seed, n), and a longer run extends a shorter
+    one with the same seed.
 
     The arguments are checked, and the source covariance factored, here; the
     returned RecordBatch is a recipe that draws its records when read (see
@@ -633,11 +591,8 @@ def measure(
     n = operator.index(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    streams = operator.index(streams)
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
     source = state if pump_on else vacuum_state(2)
     # fail here, not at the first read: a covariance with no factor, a bad seed
     _cholesky_with_jitter(source.cov)
     np.random.SeedSequence(entropy=seed)
-    return RecordBatch._deferred(_Recipe(source, config, n, seed, streams))
+    return RecordBatch._deferred(_Recipe(source, config, n, seed))

@@ -33,16 +33,13 @@ GAIN_BANDWIDTH_CONST = 1.1481518224756206
 class DeviceParams:
     """Static amplifier parameters.
 
-    omega_r_max: zero-flux resonance (rad/s); e_j_max: Josephson energy over h
-    (Hz), carried as metadata; kerr_k: Kerr shift per photon (rad/s, < 0);
-    kappa: external coupling rate; gamma_i: internal loss rate; participation:
-    SQUID inductance participation at zero flux (0 < p < 1);
-    gain_bandwidth_const: c_gb in sqrt(G0) * B = c_gb * kappa.
+    omega_r_max: zero-flux resonance (rad/s); kappa: external coupling rate;
+    gamma_i: internal loss rate; participation: SQUID inductance
+    participation at zero flux (0 < p < 1); gain_bandwidth_const: c_gb in
+    sqrt(G0) * B = c_gb * kappa.
     """
 
     omega_r_max: float = TWO_PI * 6.9e9
-    e_j_max: float = 6.1e12
-    kerr_k: float = TWO_PI * -1932.0
     kappa: float = TWO_PI * 25.0e6
     gamma_i: float = TWO_PI * 2.0e6
     participation: float = 0.03
@@ -55,8 +52,6 @@ class DeviceParams:
             raise ValueError("kappa must be > 0")
         if self.gamma_i < 0:
             raise ValueError("gamma_i must be >= 0")
-        if self.kerr_k >= 0:
-            raise ValueError("kerr_k must be < 0")
         if not 0.0 < self.participation < 1.0:
             raise ValueError("participation must lie in (0, 1)")
         if self.gain_bandwidth_const <= 0:
@@ -187,14 +182,6 @@ def gain(delta, profile: GainProfile):
     delta = np.asarray(delta, dtype=np.float64)
     out = 1.0 + (profile.g0 - 1.0) / (1.0 + (2.0 * delta / profile.bandwidth) ** 2)
     return float(out) if out.ndim == 0 else out
-
-
-def amp_coefficients(delta, profile: GainProfile):
-    """Scattering amplitudes (A, B): |A|^2 = G, |B|^2 = G - 1, real gauge."""
-    g = np.asarray(gain(delta, profile), dtype=np.float64)
-    a = np.sqrt(g).astype(np.complex128)
-    b = np.sqrt(np.maximum(g - 1.0, 0.0)).astype(np.complex128)
-    return a, b
 
 
 def psd(delta, profile: GainProfile, n_noise: float):

@@ -140,15 +140,6 @@ def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
     return GaussianState(2, np.zeros(4), cov)
 
 
-def add_thermal_noise(state: GaussianState, n_add: float) -> GaussianState:
-    """Add n_add/2 to every quadrature variance (isotropic excess noise)."""
-    if n_add < 0:
-        raise ValueError(f"n_add must be >= 0, got {n_add}")
-    return GaussianState(
-        state.n_modes, state.mean, state.cov + (n_add / 2.0) * np.eye(state.dim)
-    )
-
-
 def wigner(state: GaussianState, points: NDArray[np.float64]) -> np.ndarray | float:
     """Wigner density W(alpha) = exp(-(a-m) V^-1 (a-m)/2) / ((2 pi)^n sqrt(det V)).
 

@@ -6,14 +6,16 @@ second moments (Sheppard-corrected), calibrate per-channel scale factors off
 the pump-off reference, subtract the reference moments to remove the
 detection chain, assemble the 4x4 covariance of the underlying mode pair,
 fit the squeezing model, and evaluate Wigner marginals on a grid.  Histogram
-and streaming-moment accumulators are mergeable so record streams can be
-processed in shards.
+and streaming-moment accumulators are mergeable so records can be processed
+in shards.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import io
 import json
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
@@ -56,6 +58,15 @@ PAIR_LABELS = (
 )
 
 _WARN_PHYSICALITY_TOL = 1e-6
+
+
+def _write_text(path, text: str) -> str:
+    """Write `text` to `path` as it is (no newline translation) and return
+    the SHA-256 hex digest of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +204,19 @@ class Histogram2D:
             "overflow": int(self.overflow),
         }
 
-    def to_csv(self, path) -> None:
-        """Edges rows first, then one counts row per x bin."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("axis_x", self.labels[0]))
-            writer.writerow(("axis_y", self.labels[1]))
-            writer.writerow(("n_total", self.n_total))
-            writer.writerow(("overflow", self.overflow))
-            writer.writerow(["edges_x"] + [repr(e) for e in self.edges_x.tolist()])
-            writer.writerow(["edges_y"] + [repr(e) for e in self.edges_y.tolist()])
-            writer.writerows(self.counts.tolist())
+    def to_csv(self, path) -> str:
+        """Edges rows first, then one counts row per x bin; returns the
+        file's SHA-256."""
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(("axis_x", self.labels[0]))
+        writer.writerow(("axis_y", self.labels[1]))
+        writer.writerow(("n_total", self.n_total))
+        writer.writerow(("overflow", self.overflow))
+        writer.writerow(["edges_x"] + [repr(e) for e in self.edges_x.tolist()])
+        writer.writerow(["edges_y"] + [repr(e) for e in self.edges_y.tolist()])
+        writer.writerows(self.counts.tolist())
+        return _write_text(path, text.getvalue())
 
 
 def _iter_quadrature_blocks(
@@ -649,8 +662,9 @@ class WignerMarginal:
     measured: NDArray[np.float64]
     ideal: NDArray[np.float64]
 
-    def to_csv(self, path, column: str = "measured") -> None:
-        """Header, then one `x,y,density` row per grid point, x-major.
+    def to_csv(self, path, column: str = "measured") -> str:
+        """Header, then one `x,y,density` row per grid point, x-major;
+        returns the file's SHA-256.
 
         The csv module's excel dialect, written as one string: a float repr
         holds no delimiter or quote, so no field is quoted.
@@ -659,8 +673,7 @@ class WignerMarginal:
         lines = [f"{self.labels[0].lower()},{self.labels[1].lower()},density\r\n"]
         for x, row in zip(self.x.tolist(), getattr(self, column).tolist()):
             lines.extend(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row))
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(lines))
+        return _write_text(path, "".join(lines))
 
 
 @dataclass(frozen=True)
@@ -695,10 +708,11 @@ class TomographyResult:
             ),
         }
 
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def save_json(self, path) -> str:
+        """Write `to_json_dict()`; returns the file's SHA-256."""
+        return _write_text(
+            path, json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        )
 
 
 def _marginal_density(
@@ -819,7 +833,7 @@ def estimate_state(
     A pump-on/pump-off pair of unread `measure` recipes that differ only in
     the pump setting is drawn once, for both, in O(chunk) memory, by a
     record pass that shares the estimate's one worker thread; any other
-    pair streams each side's blocks, an unread recipe by a record pass on
+    pair reads each side's blocks, an unread recipe's by a record pass on
     that same worker.
     """
     with (

@@ -4,6 +4,7 @@ per-scenario outputs, and byte-level reproducibility."""
 import builtins
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -21,6 +22,7 @@ import jpatomo
 from jpatomo import cli, detection, tomography
 from jpatomo.cli import main, run_scenario
 from jpatomo.config import (
+    SCENARIOS,
     SCHEMA_VERSION,
     ExperimentConfig,
     RunSection,
@@ -114,10 +116,6 @@ def test_builders_convert_hz_to_angular():
     cfg = default_config()
     device = cfg.device.build()
     assert device.omega_r_max == pytest.approx(2 * math.pi * 6.9e9, rel=1e-15)
-    # junction energy scale is already a plain frequency
-    assert device.e_j_max == 6.1e12
-    det = cfg.detection.build()
-    assert det.lo_offset == pytest.approx(2 * math.pi * 5e6, rel=1e-15)
     filt = cfg.filter.build()
     assert filt.offset == pytest.approx(2 * math.pi * 5e6, rel=1e-15)
 
@@ -125,6 +123,49 @@ def test_builders_convert_hz_to_angular():
 def test_missing_sections_get_defaults():
     cfg = parse_config({"schema_version": 1})
     assert cfg == ExperimentConfig()
+
+
+# Keys that every config.json written before they were dropped carries, with
+# the values of the packaged default then; they fed no computation.
+_RETIRED = {
+    "device": {"e_j_max_hz": 6.1e12, "kerr_hz": -1932.0},
+    "detection": {"sample_period_s": 1e-08, "lo_offset_hz": 5.0e6},
+}
+
+
+def _with_retired_keys() -> dict:
+    data = json.loads(dumps_config(default_config()))
+    for section, keys in _RETIRED.items():
+        data[section].update(keys)
+    return data
+
+
+def test_retired_keys_of_earlier_configs_load_and_are_ignored(tmp_path):
+    path = tmp_path / "earlier.json"
+    path.write_text(json.dumps(_with_retired_keys()))
+    assert load_config(path) == default_config()
+    changed = _with_retired_keys()
+    changed["device"]["kerr_hz"] = "any value"  # ignored, not even type-checked
+    assert parse_config(changed) == default_config()
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--scenario", "flux-sweep", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == json.loads(
+        dumps_config(default_config())
+    )
+
+
+@pytest.mark.parametrize(
+    ("section", "key"),
+    [("device", "kerr"), ("detection", "kerr_hz")],
+)
+def test_unknown_key_beside_the_retired_ones_returns_2(tmp_path, capsys, section, key):
+    # a retired key is accepted only in its own section
+    data = _with_retired_keys()
+    data[section][key] = 1.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["--config", str(path), "--scenario", "flux-sweep", "--out", str(tmp_path)]) == 2
+    assert f"unknown key(s) in '{section}': ['{key}']" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected():
@@ -567,7 +608,7 @@ def test_manifest_fields(tmp_path):
     assert manifest["scenario"] == "flux-sweep"
     assert manifest["seed"] == default_config().run.seed
     assert len(manifest["config_sha256"]) == 64
-    assert set(manifest["versions"]) == {"package", "numpy", "scipy", "python"}
+    assert set(manifest["versions"]) == {"package", "numpy", "python"}
     assert manifest["wall_clock_s"] > 0
     for digest in manifest["outputs"].values():
         assert len(digest) == 64
@@ -575,13 +616,26 @@ def test_manifest_fields(tmp_path):
     assert disk == manifest
 
 
+def test_manifest_lists_only_the_files_its_scenario_wrote(tmp_path):
+    flux = run_scenario("flux-sweep", default_config(), tmp_path)
+    psd_run = run_scenario("psd", default_config(), tmp_path)
+    tomo = run_scenario("tomography", small_run(save_records=True), tmp_path)
+    assert set(flux["outputs"]) == {"config.json", "flux_sweep.csv"}
+    assert set(psd_run["outputs"]) == {"config.json", "psd.csv", "psd_fit.json"}
+    assert "flux_sweep.csv" not in tomo["outputs"] and "psd.csv" not in tomo["outputs"]
+    assert {"records_on.bin", "records_off.bin", "covariance.json"} <= set(tomo["outputs"])
+    # each digest is that of the bytes on disk, and the config's is config_sha256
+    for name, digest in tomo["outputs"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert tomo["config_sha256"] == tomo["outputs"]["config.json"]
+
+
 def test_import_loads_no_scipy_optimize():
-    # scipy.optimize and the scipy.linalg it pulls in cost about 0.5 s and
-    # 40 MB at every CLI start; only the bare `scipy` (for versions) may load
+    # scipy is no runtime dependency: importing the package loads none of it
     src = str(Path(jpatomo.__file__).resolve().parents[1])
     code = (
         "import sys, jpatomo, jpatomo.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -591,6 +645,26 @@ def test_import_loads_no_scipy_optimize():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_scenario_runs_without_scipy(tmp_path):
+    src = str(Path(jpatomo.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from jpatomo.cli import main\n"
+        f"codes = [main(['--scenario', s, '--records', '20000', '--out', {str(tmp_path)!r} + '/' + s])"
+        f" for s in {SCENARIOS!r}]\n"
+        "print(codes)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip().splitlines()[-1] == str([0] * len(SCENARIOS))
+    assert {path.name for path in tmp_path.iterdir()} == set(SCENARIOS)
 
 
 # ---------------------------------------------------------------- CLI

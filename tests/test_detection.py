@@ -257,8 +257,6 @@ def test_detection_config_validation():
         DetectionConfig(gain_ch1=0.0)
     with pytest.raises(ValueError):
         DetectionConfig(n_noise_ch2=-0.5)
-    with pytest.raises(ValueError):
-        DetectionConfig(sample_period=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,42 +341,29 @@ def test_measure_on_off_pairing_cancels_common_noise():
     assert diff_var < 0.1 * (2.0 * VAR_PUMP_OFF)
 
 
-def test_measure_stream_split_changes_layout_not_statistics():
-    state = two_mode_squeeze(vacuum_state(2), 1.2)
-    cfg = DetectionConfig()
-    one = measure(state, cfg, 200_000, seed=17, streams=1)
-    four = measure(state, cfg, 200_000, seed=17, streams=4)
-    assert not np.array_equal(one.s1, four.s1)
-    assert abs(one.s1.real.var() - four.s1.real.var()) < 0.5
-
-
-def _complex_column_records(state, config, n, seed, streams, chunk):
+def _complex_column_records(state, config, n, seed, chunk):
     """Records built as complex channel samples, one chunk of draws at a time."""
     chol = _cholesky_with_jitter(state.cov)
     n1, n2 = config.noise_pair
     noise_sd = np.sqrt((2.0 * np.array([n1, n1, n2, n2]) + 1.0) / 4.0)
     s1 = np.empty(n, dtype=np.complex128)
     s2 = np.empty(n, dtype=np.complex128)
-    start = 0
-    for k in range(streams):
-        m = n // streams + (1 if k < n % streams else 0)
-        rng_sig, rng_noise = (
-            np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k, c)))
-            )
-            for c in (0, 1)
+    rng_sig, rng_noise = (
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0, c)))
         )
-        for lo in range(start, start + m, chunk):
-            hi = min(lo + chunk, start + m)
-            quads = state.mean + rng_sig.standard_normal((hi - lo, 4)) @ chol.T
-            aux = rng_noise.standard_normal((hi - lo, 4)) * noise_sd
-            s1[lo:hi] = config.gain_ch1 * (
-                (quads[:, 0] + aux[:, 0]) + 1j * (quads[:, 1] - aux[:, 1])
-            )
-            s2[lo:hi] = config.gain_ch2 * (
-                (quads[:, 2] + aux[:, 2]) + 1j * (quads[:, 3] - aux[:, 3])
-            )
-        start += m
+        for c in (0, 1)
+    )
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        quads = state.mean + rng_sig.standard_normal((hi - lo, 4)) @ chol.T
+        aux = rng_noise.standard_normal((hi - lo, 4)) * noise_sd
+        s1[lo:hi] = config.gain_ch1 * (
+            (quads[:, 0] + aux[:, 0]) + 1j * (quads[:, 1] - aux[:, 1])
+        )
+        s2[lo:hi] = config.gain_ch2 * (
+            (quads[:, 2] + aux[:, 2]) + 1j * (quads[:, 3] - aux[:, 3])
+        )
     return np.column_stack([s1.real, s1.imag, s2.real, s2.imag])
 
 
@@ -387,26 +372,20 @@ def test_measure_store_equals_complex_column_construction(monkeypatch):
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
     for pump_on, source in ((True, state), (False, vacuum_state(2))):
-        batch = measure(state, cfg, 4_003, seed=5, pump_on=pump_on, streams=3)
+        batch = measure(state, cfg, 4_003, seed=5, pump_on=pump_on)
         store = batch.quadratures()
         assert store.shape == (4_003, 4) and store.flags.c_contiguous
-        ref = _complex_column_records(source, cfg, 4_003, seed=5, streams=3, chunk=1000)
+        ref = _complex_column_records(source, cfg, 4_003, seed=5, chunk=1000)
         assert store.tobytes() == ref.tobytes()
 
 
-def _whole_chunk_records(source, config, n, seed, streams, chunk):
-    """(z @ chol.T + mean + aux * sd) * g over each whole chunk, with each
-    partition's z and aux drawn at once from spawn keys (k, 0) and (k, 1)."""
-    base, extra = divmod(n, streams)
+def _whole_chunk_records(source, config, n, seed, chunk):
+    """(z @ chol.T + mean + aux * sd) * g over each whole chunk, with all
+    of z and aux drawn at once from spawn keys (0, 0) and (0, 1)."""
     z, aux = (
-        np.concatenate(
-            [
-                np.random.Generator(
-                    np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k, channel)))
-                ).standard_normal((base + (k < extra), 4))
-                for k in range(streams)
-            ]
-        )
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, channel)))
+        ).standard_normal((n, 4))
         for channel in (0, 1)
     )
     chol = _cholesky_with_jitter(source.cov)
@@ -420,9 +399,9 @@ def _whole_chunk_records(source, config, n, seed, streams, chunk):
     return records
 
 
-@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("seed", [1, 3])
 @pytest.mark.parametrize("rows", [3, 4097, 1 << 14])
-def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, streams):
+def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, seed):
     # a row block of 3 leaves one row at the end of every chunk: the last
     # row block must take it, since a one-row matmul rounds differently
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
@@ -431,13 +410,13 @@ def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, stre
     cfg = DetectionConfig(n_noise_ch2=40.0)
     n = 3 * 4096 + 7
     sources = (state, vacuum_state(2))
-    want = [_whole_chunk_records(s, cfg, n, 6, streams, 4096) for s in sources]
-    blocks = list(detection._record_blocks(sources, cfg, n, 6, streams))
+    want = [_whole_chunk_records(s, cfg, n, seed, 4096) for s in sources]
+    blocks = list(detection._record_blocks(sources, cfg, n, seed))
     assert [on.shape[0] for on, _ in blocks] == [4096, 4096, 4096, 7]
     for got, ref in zip(zip(*blocks), want):
         assert (np.concatenate(got) == ref).all()
     for pump_on, ref in zip((True, False), want):
-        stored = measure(state, cfg, n, seed=6, pump_on=pump_on, streams=streams)
+        stored = measure(state, cfg, n, seed=seed, pump_on=pump_on)
         assert (stored.quadratures() == ref).all()
 
     build = detection._build_block
@@ -450,7 +429,7 @@ def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, stre
     monkeypatch.setattr(detection, "_build_block", build_on_this_thread_only)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker build failed") as failed:
-        list(detection._record_blocks(sources, cfg, n, 6, streams))
+        list(detection._record_blocks(sources, cfg, n, seed))
     # joined before the error reached this frame, with the traceback still held
     assert threading.active_count() == before
     assert failed.traceback
@@ -474,8 +453,8 @@ def test_columnwise_ops_equal_the_per_column_broadcast(rows):
         detection._columnwise(np.add, np.zeros((3, 8))[:, :4], detection._tiled([1.0] * 4))
 
 
-@pytest.mark.parametrize("streams", [1, 3])
-def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, streams):
+@pytest.mark.parametrize("seed", [1, 3])
+def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, seed):
     # 4099 records is no multiple of detection._TILE_ROWS: every block ends
     # in a part of a tile; a displaced source exercises the mean step
     chunk = 4099
@@ -485,8 +464,8 @@ def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, st
     cfg = DetectionConfig(n_noise_ch2=40.0, gain_ch2=1.03)
     n = 3 * chunk + 7
     sources = (state, vacuum_state(2))
-    want = [_whole_chunk_records(s, cfg, n, 6, streams, chunk) for s in sources]
-    blocks = list(detection._record_blocks(sources, cfg, n, 6, streams))
+    want = [_whole_chunk_records(s, cfg, n, seed, chunk) for s in sources]
+    blocks = list(detection._record_blocks(sources, cfg, n, seed))
     assert [on.shape[0] for on, _ in blocks] == [chunk, chunk, chunk, 7]
     for got, ref in zip(zip(*blocks), want):
         assert (np.concatenate(got) == ref).all()
@@ -528,8 +507,6 @@ def test_measure_validation():
         measure(vacuum_state(1), cfg, 10, seed=0)
     with pytest.raises(ValueError):
         measure(state, cfg, -1, seed=0)
-    with pytest.raises(ValueError):
-        measure(state, cfg, 10, seed=0, streams=0)
     # checked at the call, not when the records are first read
     with pytest.raises(TypeError):
         measure(state, cfg, 10.5, seed=0)
@@ -613,13 +590,12 @@ def test_recipe_draws_its_store_once_and_len_reads_nothing(draws):
 def test_unread_recipe_streams_chunks_and_binary_on_the_global_grid(
     tmp_path, monkeypatch, draws
 ):
-    # three partitions of 4098 records: every partition boundary falls inside a block
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
     n = 3 * 4096 + 7
-    store = measure(state, cfg, n, seed=4, streams=3).quadratures()
-    recipe = measure(state, cfg, n, seed=4, streams=3)
+    store = measure(state, cfg, n, seed=4).quadratures()
+    recipe = measure(state, cfg, n, seed=4)
     blocks = list(recipe.chunks())
     assert [b.shape[0] for b in blocks] == [4096, 4096, 4096, 7]
     for got, want in zip(blocks, RecordBatch._wrap(store.copy()).chunks(), strict=True):

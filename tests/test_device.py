@@ -22,7 +22,6 @@ from jpatomo.device import (
     DeviceParams,
     GainProfile,
     PumpConfig,
-    amp_coefficients,
     fit_psd,
     gain,
     gain_profile,
@@ -92,16 +91,6 @@ def test_gain_peak_and_half_width():
     assert gain(prof.bandwidth / 2.0, prof) == pytest.approx(50.5, abs=1e-12)
     deltas = np.linspace(-5e7, 5e7, 101)
     np.testing.assert_array_equal(gain(deltas, prof), gain(-deltas, prof))
-
-
-def test_amp_coefficients_bogoliubov_constraint():
-    prof = GainProfile(g0=150.0, bandwidth=TWO_PI * 2.5e6, omega_p=DEFAULT_PUMP.omega_p)
-    rng = np.random.default_rng(5)
-    deltas = rng.uniform(-1e8, 1e8, 1000)
-    a, b = amp_coefficients(deltas, prof)
-    np.testing.assert_allclose(np.abs(a) ** 2 - np.abs(b) ** 2, 1.0, atol=1e-12)
-    assert np.all(a.real > 0) and np.all(b.real >= 0)
-    assert np.all(a.imag == 0) and np.all(b.imag == 0)
 
 
 def test_psd_is_gain_minus_one_plus_floor():
@@ -426,8 +415,6 @@ def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):
 def test_device_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(kappa=0.0)
-    with pytest.raises(ValueError):
-        DeviceParams(kerr_k=1.0)
     with pytest.raises(ValueError):
         DeviceParams(participation=1.0)
     with pytest.raises(ValueError):

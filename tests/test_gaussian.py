@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from jpatomo.errors import SingularCovarianceError
 from jpatomo.gaussian import (
     GaussianState,
-    add_thermal_noise,
     is_physical,
     marginal,
     symplectic_form,
@@ -75,6 +74,11 @@ def test_tms_covariance_frozen_values():
     assert v[0, 2] == pytest.approx(SINH_356_OVER_4, abs=1e-12)
     assert v[1, 3] == pytest.approx(-SINH_356_OVER_4, abs=1e-12)
     assert v[0, 1] == v[0, 3] == v[1, 2] == v[2, 3] == 0.0
+    # excess noise adds n_add/2 to every variance and nothing else
+    noisy = tms_theory_covariance(1.78, 0.25).cov
+    np.testing.assert_array_equal(noisy - v, 0.125 * np.eye(4))
+    with pytest.raises(ValueError):
+        tms_theory_covariance(1.78, -0.1)
 
 
 def test_squeeze_of_vacuum_equals_theory():
@@ -105,14 +109,6 @@ def test_witness_closed_form(r, n_add):
     state = tms_theory_covariance(r, n_add)
     expected = np.exp(-2 * r) + 2 * n_add
     assert witness(state) == pytest.approx(expected, rel=1e-11, abs=1e-12)
-
-
-def test_add_thermal_noise_shifts_witness():
-    base = tms_theory_covariance(1.0)
-    noisy = add_thermal_noise(base, 0.25)
-    assert witness(noisy) == pytest.approx(witness(base) + 0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        add_thermal_noise(base, -0.1)
 
 
 @given(r=st.floats(-2.0, 2.0))

@@ -105,9 +105,9 @@ def test_auto_binning_rejects_degenerate_prefix():
 def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draws):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.0)
-    stored = measure(state, DetectionConfig(), 10 * 4096, seed=9, streams=3)
+    stored = measure(state, DetectionConfig(), 10 * 4096, seed=9)
     copy = RecordBatch._wrap(stored.quadratures().copy())
-    recipe = measure(state, DetectionConfig(), 10 * 4096, seed=9, streams=3)
+    recipe = measure(state, DetectionConfig(), 10 * 4096, seed=9)
     assert auto_binning(recipe) == auto_binning(copy)
     assert recipe._store is None
     # the store, then the three 4096-record blocks the 10^4-record prefix spans
@@ -793,13 +793,14 @@ def _stored_copy(state, pump_on, **kwargs):
     return RecordBatch._wrap(records.copy())
 
 
-@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("seed", [1, 3])
 @pytest.mark.parametrize("n", [2, 10_000 - 1, 3 * _SMALL_CHUNK + 7])
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
-def test_recipe_pair_estimate_equals_stored_copies(monkeypatch, draws, method, n, streams):
+def test_recipe_pair_estimate_equals_stored_copies(monkeypatch, draws, method, n, seed):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
-    state = tms_theory_covariance(1.0, 0.0)
-    args = dict(config=_LOW_NOISE, n=n, seed=20261018, streams=streams)
+    # a mixed state: every seed gives a physical estimate from 10^4 records
+    state = tms_theory_covariance(1.0, 0.5)
+    args = dict(config=_LOW_NOISE, n=n, seed=seed)
     want = _estimate_or_error(
         _stored_copy(state, True, **args), _stored_copy(state, False, **args), method
     )
@@ -811,15 +812,32 @@ def test_recipe_pair_estimate_equals_stored_copies(monkeypatch, draws, method, n
     assert n == 2 or not isinstance(want, Exception)
 
 
+@pytest.mark.parametrize("seed", [6000, 6001, 6049])
+def test_fused_pair_deconvolution_equals_reading_each_setting(draws, seed):
+    # acceptance criterion 6 takes v_hat from the fused pass; this is the
+    # path it took before, each pump setting read and calibrated on its own
+    det = DetectionConfig()
+    truth = tms_theory_covariance(1.2, 0.3)
+    on = measure(truth, det, 100_000, seed=seed, pump_on=True)
+    off = measure(truth, det, 100_000, seed=seed, pump_on=False)
+    raw_on, raw_off = accumulate_moments(on), accumulate_moments(off)
+    scales = calibrate(raw_off, det.noise_pair)
+    want = deconvolve(apply_scale(raw_on, scales), apply_scale(raw_off, scales))
+    assert len(draws) == 2
+    est = estimate_state(on, off, det.noise_pair, method="streaming")
+    assert len(draws) == 3  # one pass for both settings
+    assert (deconvolve(est.moments_on, est.moments_off) == want).all()
+
+
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
-@pytest.mark.parametrize("differ", ["seed", "n", "streams", "config", "read"])
+@pytest.mark.parametrize("differ", ["seed", "n", "config", "read"])
 def test_unmatched_recipe_pair_draws_each_side(monkeypatch, draws, method, differ):
     # a mixed state: independent pump-on/pump-off draws still give a physical estimate
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
     state = tms_theory_covariance(1.0, 0.5)
-    on_args = dict(config=_LOW_NOISE, n=20_000, seed=3, streams=1)
+    on_args = dict(config=_LOW_NOISE, n=20_000, seed=3)
     off_args = dict(on_args)
-    if differ in ("seed", "n", "streams"):
+    if differ in ("seed", "n"):
         off_args[differ] += 1
     elif differ == "config":
         off_args["config"] = dataclasses.replace(_LOW_NOISE, gain_ch2=1.03)
