@@ -1,10 +1,12 @@
 """Batch front-end: run a named scenario from a JSON config into an output
 directory.
 
-Every scenario writes deterministic data files (CSV/JSON, repr-formatted
-floats, sorted JSON keys) plus a manifest.json recording the config hash,
-library versions, wall-clock time, a SHA-256 per file the scenario wrote,
-and a summary of headline results.  Reruns with the same config and seed
+This module writes every file a scenario outputs; `tomography` returns
+numbers and opens no file.  Every scenario writes deterministic data files
+(CSV/JSON, repr-formatted floats, sorted JSON keys) plus a manifest.json
+recording the config hash, library versions, wall-clock time, a SHA-256 per
+file the scenario wrote, and a summary of headline results.  JSON is strict:
+a non-finite float is written as null.  Reruns with the same config and seed
 reproduce every data file byte for byte; only the manifest (wall clock)
 differs.
 
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -39,7 +43,7 @@ from .detection import _record_blocks, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
 from .errors import ConfigError, NumericsError
 from .gaussian import tms_theory_covariance, vacuum_state
-from .tomography import WignerGrid, _write_text, estimate_from_blocks
+from .tomography import WignerGrid, estimate_from_blocks
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,6 +65,15 @@ class _Outputs:
         self.digests[name] = writer(self.directory / name, *args)
 
 
+def _write_text(path, text: str) -> str:
+    """Write `text` to `path` as it is (no newline translation) and return
+    the SHA-256 hex digest of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
 def _write_csv(path, header, columns) -> str:
     """A header row, then one row of float reprs per index of the
     equal-length `columns`: the csv module's excel dialect, written as one
@@ -71,6 +84,52 @@ def _write_csv(path, header, columns) -> str:
         ",".join(map(repr, row)) + "\r\n" for row in np.column_stack(columns).tolist()
     )
     return _write_text(path, "".join(lines))
+
+
+def _write_histogram_csv(path, hist) -> str:
+    """Rows axis_x, axis_y, n_total, overflow, then the edges_x and edges_y
+    rows of float reprs, then one row of counts per x bin, through the csv
+    module; returns the file's SHA-256."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("axis_x", hist.labels[0]))
+    writer.writerow(("axis_y", hist.labels[1]))
+    writer.writerow(("n_total", hist.n_total))
+    writer.writerow(("overflow", hist.overflow))
+    writer.writerow(["edges_x"] + [repr(e) for e in hist.edges_x.tolist()])
+    writer.writerow(["edges_y"] + [repr(e) for e in hist.edges_y.tolist()])
+    writer.writerows(hist.counts.tolist())
+    return _write_text(path, text.getvalue())
+
+
+def _write_wigner_csv(path, marginal, density) -> str:
+    """Header `<x label>,<y label>,density` in lower case, then one
+    `x,y,density` row of float reprs per grid point, x-major: the csv
+    module's excel dialect, written as one string.  Returns the file's
+    SHA-256."""
+    ys = [repr(y) for y in marginal.y.tolist()]
+    lines = [f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"]
+    for x, row in zip(marginal.x.tolist(), density.tolist()):
+        lines.extend(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row))
+    return _write_text(path, "".join(lines))
+
+
+def _covariance_payload(result) -> dict:
+    """covariance.json: the flattened 4x4 covariance, its fits and witness,
+    the calibration scale factors and the (pump-on, pump-off) record
+    counts.  The manifest results repeat every field but `v` and
+    `n_records`."""
+    return {
+        "v": [float(x) for x in result.v.reshape(-1)],
+        "r_fit": float(result.r_fit),
+        "r_fit_pure": float(result.r_fit_pure),
+        "n_add_fit": float(result.n_add_fit),
+        "residual": float(result.residual),
+        "residual_pure": float(result.residual_pure),
+        "witness_d": float(result.witness_d),
+        "scale_factors": [float(g) for g in result.scale_factors],
+        "n_records": [int(n) for n in result.n_records],
+    }
 
 
 def _json_ready(value):
@@ -260,7 +319,8 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
                 worker=worker,
             )
     result = est.tomography
-    out.write("covariance.json", result.save_json)
+    payload = _covariance_payload(result)
+    out.write("covariance.json", _write_json, payload)
 
     if est.histograms_on is not None:
         envelope = {
@@ -275,7 +335,7 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
             for pair, hist in hists.items():
                 key = _pair_key(pair)
                 fname = f"hist_{setting}_{key}.csv"
-                out.write(fname, hist.to_csv)
+                out.write(fname, _write_histogram_csv, hist)
                 envelope[f"pump_{setting}"][key] = {
                     "file": fname,
                     "labels": list(pair),
@@ -285,21 +345,16 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
         out.write("histograms.json", _write_json, envelope)
 
     for name, marginal in result.marginals.items():
-        out.write(f"wigner_{name}.csv", marginal.to_csv, "measured")
-        out.write(f"wigner_{name}_ideal.csv", marginal.to_csv, "ideal")
+        out.write(f"wigner_{name}.csv", _write_wigner_csv, marginal, marginal.measured)
+        out.write(f"wigner_{name}_ideal.csv", _write_wigner_csv, marginal, marginal.ideal)
 
+    fits = {key: value for key, value in payload.items() if key not in ("v", "n_records")}
     return {
+        **fits,
         "state_source": run.state_source,
         "method": run.method,
         "n_records": int(run.n_records),
         "predicted_r": float(r_pred),
-        "r_fit": float(result.r_fit),
-        "r_fit_pure": float(result.r_fit_pure),
-        "n_add_fit": float(result.n_add_fit),
-        "residual": float(result.residual),
-        "residual_pure": float(result.residual_pure),
-        "witness_d": float(result.witness_d),
-        "scale_factors": [float(g) for g in result.scale_factors],
     }
 
 

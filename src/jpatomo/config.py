@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -158,28 +159,19 @@ _SECTION_TYPES = {
     "run": RunSection,
 }
 
+# each field's type, from its annotation: float, int, bool, str (one of the
+# _STRING_FIELDS choices), float | None or tuple[float, ...]
+_FIELD_TYPES = {
+    section: typing.get_type_hints(cls) for section, cls in _SECTION_TYPES.items()
+}
+_OPTIONAL_FLOAT = float | None
+_FLOAT_SEQUENCE = tuple[float, ...]
+
 _STRING_FIELDS = {
     ("filter", "shape"): FILTER_SHAPES,
     ("run", "method"): ESTIMATION_METHODS,
     ("run", "state_source"): STATE_SOURCES,
 }
-
-_OPTIONAL_FIELDS = {("filter", "span_hz"), ("detection", "n_noise_ch2")}
-_BOOL_FIELDS = {("run", "save_records")}
-_INT_FIELDS = {
-    ("filter", "grid_points"),
-    ("run", "n_records"),
-    ("run", "seed"),
-    ("run", "bins"),
-    ("run", "prefix_records"),
-    ("run", "wigner_points"),
-    ("run", "psd_points"),
-    ("run", "psd_seed_offset"),
-    ("run", "flux_points"),
-    ("run", "reflection_points"),
-    ("run", "gain_points"),
-}
-_SEQUENCE_FIELDS = {("run", "gain_map_powers_dbm")}
 # keys of earlier schema-v1 files that fed no computation: still accepted,
 # and ignored, so every saved config.json loads
 _RETIRED_KEYS = {
@@ -203,24 +195,23 @@ def _number(path: str, value) -> float:
 
 def _coerce(section: str, name: str, value):
     path = f"{section}.{name}"
-    key = (section, name)
-    if key in _OPTIONAL_FIELDS and value is None:
+    kind = _FIELD_TYPES[section][name]
+    if kind == _OPTIONAL_FLOAT and value is None:
         return None
-    if key in _STRING_FIELDS:
-        if not isinstance(value, str) or value not in _STRING_FIELDS[key]:
-            raise ConfigError(
-                f"{path}: expected one of {list(_STRING_FIELDS[key])}, got {value!r}"
-            )
+    if kind is str:
+        choices = _STRING_FIELDS[(section, name)]
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path}: expected one of {list(choices)}, got {value!r}")
         return value
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
         return value
-    if key in _SEQUENCE_FIELDS:
+    if kind == _FLOAT_SEQUENCE:
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"{path}: expected a non-empty list of numbers")
         return tuple(_number(f"{path}[{k}]", item) for k, item in enumerate(value))
-    if key in _INT_FIELDS:
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value

@@ -120,16 +120,14 @@ def resonance_frequency(phi, params: DeviceParams):
     return float(out) if out.ndim == 0 else out
 
 
-def reflection(omega, params: DeviceParams, omega_r: float | None = None):
+def reflection(omega, params: DeviceParams):
     """Linear-regime reflection off the resonator input port.
 
     Gamma(delta) = ((gamma_i - kappa)/2 - i delta) / ((gamma_i + kappa)/2 - i delta)
-    with delta = omega - omega_r; omega_r defaults to the zero-flux resonance.
+    with delta = omega - omega_r_max, the detuning from the zero-flux resonance.
     """
-    if omega_r is None:
-        omega_r = params.omega_r_max
     raw = np.asarray(omega, dtype=np.float64)
-    delta = np.atleast_1d(raw) - omega_r
+    delta = np.atleast_1d(raw) - params.omega_r_max
     num = 0.5 * (params.gamma_i - params.kappa) - 1j * delta
     den = 0.5 * (params.gamma_i + params.kappa) - 1j * delta
     out = num / den

@@ -181,12 +181,16 @@ def witness(state: GaussianState) -> float:
     return float(var_xm + var_pp)
 
 
+def physicality_margin(cov: NDArray[np.float64]) -> float:
+    """min eig(cov + i Omega / 4) of a symmetric (2n, 2n) covariance: the
+    uncertainty principle holds exactly when it is >= 0."""
+    omega = symplectic_form(cov.shape[0] // 2)
+    return float(np.linalg.eigvalsh(cov + 0.25j * omega)[0])
+
+
 def is_physical(state: GaussianState, tol: float = 1e-10) -> bool:
-    """Heisenberg check: min eig(cov + i Omega / 4) >= -tol."""
-    omega = symplectic_form(state.n_modes)
-    herm = state.cov + 0.25j * omega
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return min_eig >= -tol
+    """Heisenberg check: physicality_margin(cov) >= -tol."""
+    return physicality_margin(state.cov) >= -tol
 
 
 def _cholesky_with_jitter(cov: NDArray[np.float64]) -> NDArray[np.float64]:

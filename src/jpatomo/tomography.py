@@ -8,15 +8,14 @@ detection chain, assemble the 4x4 covariance of the underlying mode pair,
 fit the squeezing model, and evaluate Wigner marginals on a grid.  Histogram
 and streaming-moment accumulators are mergeable so records can be processed
 in shards.
+
+Every function returns numbers and opens no file: `cli` decides what each
+output file holds and writes it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
-import hashlib
-import io
-import json
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -37,7 +36,8 @@ from .errors import (
 )
 from .gaussian import (
     GaussianState,
-    symplectic_form,
+    marginal,
+    physicality_margin,
     tms_theory_covariance,
     wigner,
     witness,
@@ -58,15 +58,6 @@ PAIR_LABELS = (
 )
 
 _WARN_PHYSICALITY_TOL = 1e-6
-
-
-def _write_text(path, text: str) -> str:
-    """Write `text` to `path` as it is (no newline translation) and return
-    the SHA-256 hex digest of the bytes written."""
-    data = text.encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +184,6 @@ class Histogram2D:
             self.n_total + other.n_total,
             self.overflow + other.overflow,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "edges_x": [float(e) for e in self.edges_x],
-            "edges_y": [float(e) for e in self.edges_y],
-            "counts": self.counts.tolist(),
-            "n_total": int(self.n_total),
-            "overflow": int(self.overflow),
-        }
-
-    def to_csv(self, path) -> str:
-        """Edges rows first, then one counts row per x bin; returns the
-        file's SHA-256."""
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(("axis_x", self.labels[0]))
-        writer.writerow(("axis_y", self.labels[1]))
-        writer.writerow(("n_total", self.n_total))
-        writer.writerow(("overflow", self.overflow))
-        writer.writerow(["edges_x"] + [repr(e) for e in self.edges_x.tolist()])
-        writer.writerow(["edges_y"] + [repr(e) for e in self.edges_y.tolist()])
-        writer.writerows(self.counts.tolist())
-        return _write_text(path, text.getvalue())
 
 
 def _iter_quadrature_blocks(
@@ -553,10 +520,7 @@ _UPPER = np.triu_indices(4)
 
 
 def _model_upper(r: float, n_add: float) -> NDArray[np.float64]:
-    d = np.cosh(2.0 * r) / 4.0 + n_add / 2.0
-    s = np.sinh(2.0 * r) / 4.0
-    # upper-triangle order: (0,0)(0,1)(0,2)(0,3)(1,1)(1,2)(1,3)(2,2)(2,3)(3,3)
-    return np.array([d, 0.0, s, 0.0, d, 0.0, -s, d, 0.0, d])
+    return tms_theory_covariance(r, n_add).cov[_UPPER]
 
 
 @dataclass(frozen=True)
@@ -662,19 +626,6 @@ class WignerMarginal:
     measured: NDArray[np.float64]
     ideal: NDArray[np.float64]
 
-    def to_csv(self, path, column: str = "measured") -> str:
-        """Header, then one `x,y,density` row per grid point, x-major;
-        returns the file's SHA-256.
-
-        The csv module's excel dialect, written as one string: a float repr
-        holds no delimiter or quote, so no field is quoted.
-        """
-        ys = [repr(y) for y in self.y.tolist()]
-        lines = [f"{self.labels[0].lower()},{self.labels[1].lower()},density\r\n"]
-        for x, row in zip(self.x.tolist(), getattr(self, column).tolist()):
-            lines.extend(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row))
-        return _write_text(path, "".join(lines))
-
 
 @dataclass(frozen=True)
 class TomographyResult:
@@ -689,49 +640,23 @@ class TomographyResult:
     n_records: tuple[int, int] | None
     marginals: Mapping[str, WignerMarginal]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "v": [float(x) for x in np.asarray(self.v).reshape(-1)],
-            "r_fit": float(self.r_fit),
-            "r_fit_pure": float(self.r_fit_pure),
-            "n_add_fit": float(self.n_add_fit),
-            "residual": float(self.residual),
-            "residual_pure": float(self.residual_pure),
-            "witness_d": float(self.witness_d),
-            "scale_factors": (
-                None
-                if self.scale_factors is None
-                else [float(g) for g in self.scale_factors]
-            ),
-            "n_records": (
-                None if self.n_records is None else [int(n) for n in self.n_records]
-            ),
-        }
-
-    def save_json(self, path) -> str:
-        """Write `to_json_dict()`; returns the file's SHA-256."""
-        return _write_text(
-            path, json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
 
 def _marginal_density(
-    cov: NDArray[np.float64], pair: tuple[int, int], grid: WignerGrid
+    state: GaussianState, pair: tuple[int, int], grid: WignerGrid
 ) -> NDArray[np.float64]:
-    sub = cov[np.ix_(pair, pair)].copy()
+    block = marginal(state, pair)
     # A marginally indefinite estimate (sampling noise around a pure state)
     # has no density; clamp the block's eigenvalues for evaluation only, the
     # reported covariance stays untouched.
-    evals, evecs = np.linalg.eigh(0.5 * (sub + sub.T))
-    floor = 1e-6 * max(float(np.mean(np.diag(cov))), 1e-6)
+    evals, evecs = np.linalg.eigh(block.cov)
+    floor = 1e-6 * max(float(np.mean(np.diag(state.cov))), 1e-6)
     if evals[0] < floor:
         sub = evecs @ np.diag(np.maximum(evals, floor)) @ evecs.T
-        sub = 0.5 * (sub + sub.T)
-    state = GaussianState(1, np.zeros(2), sub)
+        block = GaussianState(1, block.mean, 0.5 * (sub + sub.T))
     ax = grid.axis
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([xx, yy], axis=-1)
-    return wigner(state, pts)
+    return wigner(block, pts)
 
 
 _MARGINAL_PAIRS = {"x1_p1": (0, 1), "x1_x2": (0, 2)}
@@ -758,8 +683,7 @@ def reconstruct(
     if grid is None:
         grid = WignerGrid()
 
-    omega = symplectic_form(2)
-    min_eig = float(np.min(np.linalg.eigvalsh(v + 0.25j * omega)).real)
+    min_eig = physicality_margin(v)
     hard_tol = max(_WARN_PHYSICALITY_TOL, 0.01 * float(np.mean(np.diag(v))))
     if min_eig < -hard_tol:
         raise UnphysicalStateError(
@@ -776,7 +700,7 @@ def reconstruct(
     fit = fit_squeezing(v)
     state = GaussianState(2, np.zeros(4), v)
     d = witness(state)
-    ideal_cov = tms_theory_covariance(fit.r, 0.0).cov
+    ideal = tms_theory_covariance(fit.r, 0.0)
     marginals = {}
     for name, pair in _MARGINAL_PAIRS.items():
         labels = (AXIS_LABELS[pair[0]], AXIS_LABELS[pair[1]])
@@ -784,8 +708,8 @@ def reconstruct(
             labels=labels,
             x=grid.axis,
             y=grid.axis,
-            measured=_marginal_density(v, pair, grid),
-            ideal=_marginal_density(ideal_cov, pair, grid),
+            measured=_marginal_density(state, pair, grid),
+            ideal=_marginal_density(ideal, pair, grid),
         )
     return TomographyResult(
         v=v,
@@ -815,7 +739,6 @@ class EstimationResult:
     histograms_off: dict | None
     moments_on: MomentSet
     moments_off: MomentSet
-    scale_factors: tuple[float, float]
 
 
 def estimate_state(
@@ -979,5 +902,4 @@ def estimate_from_blocks(
         histograms_off=hists_off,
         moments_on=on,
         moments_off=off,
-        scale_factors=scales,
     )

@@ -13,13 +13,14 @@ import re
 import subprocess
 import sys
 import threading
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jpatomo
-from jpatomo import cli, detection, tomography
+from jpatomo import cli, config, detection, tomography
 from jpatomo.cli import main, run_scenario
 from jpatomo.config import (
     SCENARIOS,
@@ -118,6 +119,18 @@ def test_builders_convert_hz_to_angular():
     assert device.omega_r_max == pytest.approx(2 * math.pi * 6.9e9, rel=1e-15)
     filt = cfg.filter.build()
     assert filt.offset == pytest.approx(2 * math.pi * 5e6, rel=1e-15)
+
+
+def test_every_config_field_has_a_handled_type():
+    # _coerce dispatches on these six annotations; str fields list their choices
+    handled = [float, int, bool, str, float | None, tuple[float, ...]]
+    names = []
+    for section, cls in config._SECTION_TYPES.items():
+        for name, kind in typing.get_type_hints(cls).items():
+            assert kind in handled, f"{section}.{name}: {kind}"
+            assert (kind is str) == ((section, name) in config._STRING_FIELDS)
+            names.append(name)
+    assert len(names) == 46
 
 
 def test_missing_sections_get_defaults():
@@ -352,6 +365,20 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+def test_every_json_output_is_strict(tmp_path):
+    for scenario in SCENARIOS:
+        run_scenario(scenario, small_run(), tmp_path / scenario)
+    written = sorted(tmp_path.rglob("*.json"))
+    assert {(p.parent.name, p.name) for p in written} >= {
+        ("tomography", "covariance.json"),
+        ("tomography", "histograms.json"),
+        ("psd", "psd_fit.json"),
+    }
+    assert sum(p.name == "manifest.json" for p in written) == len(SCENARIOS)
+    for path in written:
+        _strict_json(path)
+
+
 
 def test_tomography_outputs(tmp_path):
     cfg = small_run()
@@ -376,6 +403,12 @@ def test_tomography_outputs(tmp_path):
     assert np.allclose(v, v.T)
     assert cov["r_fit_pure"] == pytest.approx(1.78, abs=0.05)
     assert manifest["results"]["predicted_r"] == pytest.approx(1.75, abs=1e-9)
+    # the manifest repeats covariance.json's fit fields, equal to the bit
+    fits = ("r_fit", "r_fit_pure", "n_add_fit", "residual", "residual_pure", "witness_d")
+    for key in fits + ("scale_factors",):
+        assert manifest["results"][key] == cov[key], key
+    assert set(cov) == set(fits) | {"v", "scale_factors", "n_records"}
+    assert cov["n_records"] == [cfg.run.n_records] * 2
 
     envelope = json.loads((tmp_path / "histograms.json").read_text())
     assert envelope["bins"] == cfg.run.bins
@@ -455,7 +488,7 @@ def test_fused_tomography_equals_two_call_path(tmp_path, monkeypatch, method, n)
         got, want = getattr(est, setting), getattr(ref, setting)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
         assert got.n == want.n == n
-    ref.tomography.save_json(tmp_path / "ref.json")
+    cli._write_json(tmp_path / "ref.json", cli._covariance_payload(ref.tomography))
     assert (tmp_path / "cli" / "covariance.json").read_bytes() == (
         tmp_path / "ref.json"
     ).read_bytes()

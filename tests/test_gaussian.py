@@ -13,6 +13,7 @@ from jpatomo.gaussian import (
     GaussianState,
     is_physical,
     marginal,
+    physicality_margin,
     symplectic_form,
     tms_theory_covariance,
     two_mode_squeeze,
@@ -151,6 +152,11 @@ def test_is_physical_examples():
     assert is_physical(tms_theory_covariance(1.78))
     below_vacuum = GaussianState(2, np.zeros(4), np.eye(4) / 8.0)
     assert not is_physical(below_vacuum)
+    # min eig(V + i Omega / 4): 0 for a pure state, n/2 for a thermal state
+    # of n photons per mode, 1/8 - 1/4 below the vacuum
+    assert physicality_margin(vacuum_state(2).cov) == pytest.approx(0.0, abs=1e-15)
+    assert physicality_margin(np.eye(4) * (2 * 0.3 + 1) / 4.0) == pytest.approx(0.15)
+    assert physicality_margin(below_vacuum.cov) == pytest.approx(-0.125)
 
 
 def test_wigner_vacuum_values():

@@ -1,6 +1,9 @@
 """Histogramming, moment extraction, calibration, deconvolution, fitting."""
 
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import sys
 import threading
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from jpatomo import detection, tomography
+from jpatomo import cli, detection, tomography
 from jpatomo.detection import DetectionConfig, RecordBatch, measure
 from jpatomo.errors import (
     DegenerateReferenceError,
@@ -263,7 +266,7 @@ def _threaded_estimate_matches_serial_kernel(seed):
     raw_on, raw_off = accumulate_moments(on), accumulate_moments(off)
     scales = calibrate(raw_off, cfg.noise_pair)
     for est in (streamed, fused_streamed):
-        assert est.scale_factors == scales
+        assert est.tomography.scale_factors == scales
         for got, raw in ((est.moments_on, raw_on), (est.moments_off, raw_off)):
             want = apply_scale(raw, scales)
             assert (got.mean == want.mean).all() and (got.cov == want.cov).all()
@@ -332,20 +335,36 @@ def test_histogram_invariant_enforced():
         Histogram2D(("X1", "Q9"), b.edges, b.edges, np.zeros((4, 4), np.int64))
 
 
+def _csv_module_histogram(h: Histogram2D) -> bytes:
+    """A histogram CSV as the csv module writes it, row by row."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(("axis_x", h.labels[0]))
+    writer.writerow(("axis_y", h.labels[1]))
+    writer.writerow(("n_total", h.n_total))
+    writer.writerow(("overflow", h.overflow))
+    writer.writerow(["edges_x"] + [repr(e) for e in h.edges_x.tolist()])
+    writer.writerow(["edges_y"] + [repr(e) for e in h.edges_y.tolist()])
+    writer.writerows(h.counts.tolist())
+    return text.getvalue().encode()
+
+
 def test_histogram_serialization(tmp_path):
+    # a narrow range, so that some records overflow
     batch = measure(vacuum_state(2), DetectionConfig(), 5000, seed=2)
-    hists = accumulate_histograms(batch, auto_binning(batch, bins=16))
+    hists = accumulate_histograms(batch, auto_binning(batch, bins=16, sigmas=2.0))
     h = hists[("X1", "X2")]
-    d = h.to_json_dict()
-    assert d["labels"] == ["X1", "X2"]
-    assert np.array(d["counts"], dtype=np.int64).sum() + d["overflow"] == d["n_total"]
+    assert h.overflow > 0
     path = tmp_path / "h.csv"
-    h.to_csv(path)
-    lines = path.read_text().splitlines()
+    digest = cli._write_histogram_csv(path, h)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert data == _csv_module_histogram(h)
+    lines = data.decode().splitlines()
     assert lines[0] == "axis_x,X1"
     assert len(lines) == 6 + 16  # four metadata rows, two edge rows, counts
-    h.to_csv(tmp_path / "h2.csv")
-    assert (tmp_path / "h2.csv").read_text() == path.read_text()
+    counts = np.array([line.split(",") for line in lines[6:]], dtype=np.int64)
+    assert counts.sum() + int(lines[3].split(",")[1]) == int(lines[2].split(",")[1])
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +714,10 @@ def test_reconstruct_warns_on_marginal_violation():
     assert res.r_fit > 0.0
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
 def test_reconstruct_json_round_trip(tmp_path):
     res = reconstruct(
         tms_theory_covariance(1.1, 0.05).cov,
@@ -702,23 +725,38 @@ def test_reconstruct_json_round_trip(tmp_path):
         scale_factors=(1.0, 0.98),
         n_records=(1000, 1000),
     )
-    d = res.to_json_dict()
+    d = cli._covariance_payload(res)
     assert len(d["v"]) == 16
     assert d["v"][0] == pytest.approx(np.cosh(2.2) / 4 + 0.025)
     assert d["scale_factors"] == [1.0, 0.98]
     assert d["n_records"] == [1000, 1000]
     path = tmp_path / "res.json"
-    res.save_json(path)
-    assert json.loads(path.read_text()) == json.loads(json.dumps(d))
+    cli._write_json(path, d)
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == d
+    # covariance.json is strict JSON: a non-finite field is written as null
+    cli._write_json(path, cli._covariance_payload(dataclasses.replace(res, residual=np.nan)))
+    assert json.loads(path.read_text(), parse_constant=_reject_constant)["residual"] is None
 
 
 def test_wigner_marginal_csv(tmp_path):
-    res = reconstruct(np.eye(4) / 4.0, WignerGrid(extent=1.0, points=3))
-    path = tmp_path / "w.csv"
-    res.marginals["x1_p1"].to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,p1,density"
-    assert len(lines) == 1 + 9
+    res = reconstruct(
+        tms_theory_covariance(0.3).cov + 0.01 * np.eye(4), WignerGrid(extent=1.0, points=3)
+    )
+    m = res.marginals["x1_p1"]
+    for density in (m.measured, m.ideal):
+        path = tmp_path / "w.csv"
+        digest = cli._write_wigner_csv(path, m, density)
+        data = path.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+        # header, then one x,y,density row of reprs per grid point, x-major
+        want = ["x1,p1,density\r\n"] + [
+            f"{x!r},{y!r},{float(density[i, j])!r}\r\n"
+            for i, x in enumerate(m.x.tolist())
+            for j, y in enumerate(m.y.tolist())
+        ]
+        assert data == "".join(want).encode()
+        assert len(data.splitlines()) == 1 + 9
+    assert not np.array_equal(m.measured, m.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +813,7 @@ def _assert_same_estimate(got, want):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert (got.tomography.v == want.tomography.v).all()
-    assert got.scale_factors == want.scale_factors
+    assert got.tomography.scale_factors == want.tomography.scale_factors
     for setting in ("moments_on", "moments_off"):
         a, b = getattr(got, setting), getattr(want, setting)
         assert (a.mean == b.mean).all() and (a.cov == b.cov).all() and a.n == b.n
