@@ -45,6 +45,7 @@ from .tomography import (
     estimate_state,
     fit_squeezing,
     reconstruct,
+    wigner_marginals,
 )
 
 __version__ = "0.1.0"
@@ -86,5 +87,6 @@ __all__ = [
     "tms_theory_covariance",
     "vacuum_state",
     "wigner",
+    "wigner_marginals",
     "witness",
 ]

@@ -43,7 +43,7 @@ from .detection import _record_blocks, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
 from .errors import ConfigError, NumericsError
 from .gaussian import tms_theory_covariance, vacuum_state
-from .tomography import WignerGrid, estimate_from_blocks
+from .tomography import WignerGrid, estimate_from_blocks, wigner_marginals
 
 TWO_PI = 2.0 * np.pi
 
@@ -315,7 +315,6 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
                 bins=run.bins,
                 bin_sigmas=run.bin_sigmas,
                 prefix_records=run.prefix_records,
-                grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
                 worker=worker,
             )
     result = est.tomography
@@ -344,7 +343,8 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
                 }
         out.write("histograms.json", _write_json, envelope)
 
-    for name, marginal in result.marginals.items():
+    grid = WignerGrid(extent=run.wigner_extent, points=run.wigner_points)
+    for name, marginal in wigner_marginals(result.v, result.r_fit, grid).items():
         out.write(f"wigner_{name}.csv", _write_wigner_csv, marginal, marginal.measured)
         out.write(f"wigner_{name}_ideal.csv", _write_wigner_csv, marginal, marginal.ideal)
 

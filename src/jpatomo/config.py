@@ -319,8 +319,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_config(cfg))
+    """Write `dumps_config(cfg)` as bytes, with no newline translation, so
+    the file hashes to the `config_sha256` of a run of `cfg`."""
+    with open(path, "wb") as fh:
+        fh.write(dumps_config(cfg).encode())
 
 
 def default_config() -> ExperimentConfig:

@@ -5,9 +5,10 @@ histograms for the six axis pairs (pump on and pump off), extract first and
 second moments (Sheppard-corrected), calibrate per-channel scale factors off
 the pump-off reference, subtract the reference moments to remove the
 detection chain, assemble the 4x4 covariance of the underlying mode pair,
-fit the squeezing model, and evaluate Wigner marginals on a grid.  Histogram
-and streaming-moment accumulators are mergeable so records can be processed
-in shards.
+and fit the squeezing model.  The Wigner marginals of an estimate are
+evaluated on a grid on request (`wigner_marginals`).  Histogram and
+streaming-moment accumulators are mergeable so records can be processed in
+shards.
 
 Every function returns numbers and opens no file: `cli` decides what each
 output file holds and writes it.
@@ -638,7 +639,6 @@ class TomographyResult:
     witness_d: float
     scale_factors: tuple[float, float] | None
     n_records: tuple[int, int] | None
-    marginals: Mapping[str, WignerMarginal]
 
 
 def _marginal_density(
@@ -662,27 +662,26 @@ def _marginal_density(
 _MARGINAL_PAIRS = {"x1_p1": (0, 1), "x1_x2": (0, 2)}
 
 
+def _symmetric_covariance(v) -> NDArray[np.float64]:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
+        raise InvalidCovarianceError("covariance must be a finite 4x4 matrix")
+    return 0.5 * (v + v.T)
+
+
 def reconstruct(
     v: NDArray[np.float64],
-    grid: WignerGrid | None = None,
     scale_factors: tuple[float, float] | None = None,
     n_records: tuple[int, int] | None = None,
 ) -> TomographyResult:
-    """Package the estimated covariance into fits, witness, and marginals.
+    """Package the estimated covariance into its squeezing fits and witness.
 
     A slightly indefinite estimate (statistical fluctuation around a pure
     state) is tolerated with a warning; an indefiniteness on the scale of the
     covariance itself aborts, since no amount of sampling noise explains it.
-    The ideal comparison marginal is the pure squeezed-vacuum model evaluated
-    at the fitted r.
+    The Wigner marginals are a display output: `wigner_marginals`.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
-        raise InvalidCovarianceError("covariance must be a finite 4x4 matrix")
-    v = 0.5 * (v + v.T)
-    if grid is None:
-        grid = WignerGrid()
-
+    v = _symmetric_covariance(v)
     min_eig = physicality_margin(v)
     hard_tol = max(_WARN_PHYSICALITY_TOL, 0.01 * float(np.mean(np.diag(v))))
     if min_eig < -hard_tol:
@@ -698,19 +697,6 @@ def reconstruct(
         )
 
     fit = fit_squeezing(v)
-    state = GaussianState(2, np.zeros(4), v)
-    d = witness(state)
-    ideal = tms_theory_covariance(fit.r, 0.0)
-    marginals = {}
-    for name, pair in _MARGINAL_PAIRS.items():
-        labels = (AXIS_LABELS[pair[0]], AXIS_LABELS[pair[1]])
-        marginals[name] = WignerMarginal(
-            labels=labels,
-            x=grid.axis,
-            y=grid.axis,
-            measured=_marginal_density(state, pair, grid),
-            ideal=_marginal_density(ideal, pair, grid),
-        )
     return TomographyResult(
         v=v,
         r_fit=fit.r,
@@ -718,11 +704,34 @@ def reconstruct(
         residual=fit.residual,
         r_fit_pure=fit.r_pure,
         residual_pure=fit.residual_pure,
-        witness_d=d,
+        witness_d=witness(GaussianState(2, np.zeros(4), v)),
         scale_factors=scale_factors,
         n_records=n_records,
-        marginals=marginals,
     )
+
+
+def wigner_marginals(
+    v: NDArray[np.float64], r: float, grid: WignerGrid | None = None
+) -> dict[str, WignerMarginal]:
+    """The (X1, P1) and (X1, X2) Wigner marginals of the covariance `v`
+    (symmetrised), each beside the pure squeezed-vacuum model at squeezing
+    `r` (the fitted `r_fit` of a reconstruction), on `grid` (default
+    WignerGrid())."""
+    v = _symmetric_covariance(v)
+    if grid is None:
+        grid = WignerGrid()
+    state = GaussianState(2, np.zeros(4), v)
+    ideal = tms_theory_covariance(r, 0.0)
+    return {
+        name: WignerMarginal(
+            labels=(AXIS_LABELS[pair[0]], AXIS_LABELS[pair[1]]),
+            x=grid.axis,
+            y=grid.axis,
+            measured=_marginal_density(state, pair, grid),
+            ideal=_marginal_density(ideal, pair, grid),
+        )
+        for name, pair in _MARGINAL_PAIRS.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +758,6 @@ def estimate_state(
     bins: int = 128,
     bin_sigmas: float = 6.0,
     prefix_records: int = 10_000,
-    grid: WignerGrid | None = None,
 ) -> EstimationResult:
     """Records to reconstructed state in one call (see estimate_from_blocks).
 
@@ -770,7 +778,6 @@ def estimate_state(
             bins=bins,
             bin_sigmas=bin_sigmas,
             prefix_records=prefix_records,
-            grid=grid,
             worker=worker,
         )
 
@@ -843,7 +850,6 @@ def estimate_from_blocks(
     bins: int = 128,
     bin_sigmas: float = 6.0,
     prefix_records: int = 10_000,
-    grid: WignerGrid | None = None,
     *,
     worker: Executor | None = None,
 ) -> EstimationResult:
@@ -892,9 +898,7 @@ def estimate_from_blocks(
     on = apply_scale(raw_on, scales)
     off = apply_scale(raw_off, scales)
     v = deconvolve(on, off)
-    result = reconstruct(
-        v, grid=grid, scale_factors=scales, n_records=(raw_on.n, raw_off.n)
-    )
+    result = reconstruct(v, scale_factors=scales, n_records=(raw_on.n, raw_off.n))
     return EstimationResult(
         tomography=result,
         binning=binning,

@@ -37,7 +37,7 @@ from jpatomo.detection import RecordBatch, measure
 from jpatomo.device import gain, gain_profile
 from jpatomo.errors import ConfigError, NumericsError
 from jpatomo.gaussian import tms_theory_covariance
-from jpatomo.tomography import PAIR_LABELS, WignerGrid, estimate_state
+from jpatomo.tomography import PAIR_LABELS, WignerGrid, estimate_state, wigner_marginals
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:estimated covariance marginally unphysical"
@@ -111,6 +111,21 @@ def test_save_and_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_saved_config_hashes_to_its_runs_config_sha256(tmp_path, monkeypatch):
+    def crlf_text_open(file, mode="r", *args, **kwargs):
+        # a text-mode write translates newlines, as on Windows
+        if "b" not in mode:
+            kwargs.setdefault("newline", "\r\n")
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(config, "open", crlf_text_open, raising=False)
+    cfg = small_run(seed=7)
+    save_config(cfg, tmp_path / "cfg.json")
+    manifest = run_scenario("flux-sweep", cfg, tmp_path / "run")
+    digest = hashlib.sha256((tmp_path / "cfg.json").read_bytes()).hexdigest()
+    assert digest == manifest["config_sha256"]
 
 
 def test_builders_convert_hz_to_angular():
@@ -451,7 +466,6 @@ def _two_call_estimate(cfg):
         bins=run.bins,
         bin_sigmas=run.bin_sigmas,
         prefix_records=run.prefix_records,
-        grid=WignerGrid(extent=run.wigner_extent, points=run.wigner_points),
     )
 
 
@@ -492,6 +506,30 @@ def test_fused_tomography_equals_two_call_path(tmp_path, monkeypatch, method, n)
     assert (tmp_path / "cli" / "covariance.json").read_bytes() == (
         tmp_path / "ref.json"
     ).read_bytes()
+    grid = WignerGrid(extent=cfg.run.wigner_extent, points=cfg.run.wigner_points)
+    m = wigner_marginals(ref.tomography.v, ref.tomography.r_fit, grid)["x1_x2"]
+    cli._write_wigner_csv(tmp_path / "ref.csv", m, m.ideal)
+    assert (tmp_path / "cli" / "wigner_x1_x2_ideal.csv").read_bytes() == (
+        tmp_path / "ref.csv"
+    ).read_bytes()
+
+
+def test_wigner_marginals_are_evaluated_only_for_the_files(tmp_path, monkeypatch):
+    points = []
+    wigner = tomography.wigner
+
+    def counted(state, pts):
+        density = wigner(state, pts)
+        points.append(density.size)
+        return density
+
+    monkeypatch.setattr(tomography, "wigner", counted)
+    for method in ("histogram", "streaming"):
+        _two_call_estimate(small_run(method=method))
+    assert points == []
+    cfg = small_run(wigner_points=21)
+    run_scenario("tomography", cfg, tmp_path)
+    assert sum(points) == 4 * 21**2
 
 
 def test_tomography_saved_records_equal_measured_store(tmp_path, monkeypatch):
@@ -661,6 +699,12 @@ def test_manifest_lists_only_the_files_its_scenario_wrote(tmp_path):
     for name, digest in tomo["outputs"].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     assert tomo["config_sha256"] == tomo["outputs"]["config.json"]
+
+
+def test_every_public_name_resolves():
+    assert [name for name in jpatomo.__all__ if not hasattr(jpatomo, name)] == []
+    assert "wigner_marginals" in jpatomo.__all__
+    assert jpatomo.wigner_marginals is tomography.wigner_marginals
 
 
 def test_import_loads_no_scipy_optimize():

@@ -471,6 +471,38 @@ def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, se
         assert (np.concatenate(got) == ref).all()
 
 
+@pytest.mark.parametrize("n", [3 * 4096 + 7, 100])
+def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
+    # a short last block is a leading view of a full-size allocation, so
+    # the pass allocates one size of z, aux and block pair throughout
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    sources = (state, vacuum_state(2))
+    want = [_whole_chunk_records(s, cfg, n, 5, 4096) for s in sources]
+    rows = min(n, 4096)
+    tail = (n - 1) // 4096 * 4096  # the first record of the last block
+    allocated = []
+    generator = np.random.Generator
+
+    class RecordingGenerator:
+        def __init__(self, bit_generator):
+            self._generator = generator(bit_generator)
+
+        def standard_normal(self, out):
+            allocated.append(out.base.shape)
+            return self._generator.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    blocks = list(detection._record_blocks(sources, cfg, n, 5))
+    assert allocated == [(rows, 4)] * (2 * len(blocks))  # a z and an aux per block
+    for pair in blocks:
+        assert all(block.base.shape == (2, rows, 4) for block in pair)
+    for last, ref in zip(blocks[-1], want):
+        assert last.shape[0] == n - tail
+        assert (last == ref[tail:]).all()
+
+
 def test_closing_the_engine_after_block_k_draws_nothing_past_block_k_plus_1(monkeypatch):
     chunk = 4096
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", chunk)

@@ -47,6 +47,7 @@ from jpatomo.tomography import (
     moment_set_from_histograms,
     moments_from_histogram,
     reconstruct,
+    wigner_marginals,
 )
 
 # cosh(2 * 1.78) / 4 and sinh(2 * 1.78) / 4
@@ -681,10 +682,10 @@ def test_wigner_grid():
 
 
 def test_reconstruct_vacuum():
-    res = reconstruct(np.eye(4) / 4.0, WignerGrid(extent=3.0, points=61))
+    res = reconstruct(np.eye(4) / 4.0)
     assert abs(res.witness_d - 1.0) < 1e-12
     assert res.r_fit == 0.0 and res.n_add_fit == 0.0
-    m = res.marginals["x1_p1"]
+    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=3.0, points=61))["x1_p1"]
     center = 30
     assert abs(m.measured[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
     assert abs(m.ideal[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
@@ -692,8 +693,8 @@ def test_reconstruct_vacuum():
 
 def test_reconstruct_squeezed_marginal_orientation():
     v = tms_theory_covariance(1.78, 0.264).cov
-    res = reconstruct(v, WignerGrid(extent=4.0, points=81))
-    m = res.marginals["x1_x2"]
+    res = reconstruct(v)
+    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=4.0, points=81))["x1_x2"]
     ax = m.x
     k_pos = int(np.argmin(np.abs(ax - 2.0)))
     k_neg = int(np.argmin(np.abs(ax + 2.0)))
@@ -710,8 +711,14 @@ def test_reconstruct_rejects_grossly_unphysical():
 def test_reconstruct_warns_on_marginal_violation():
     v = tms_theory_covariance(1.78).cov - 3e-6 * np.eye(4)
     with pytest.warns(RuntimeWarning):
-        res = reconstruct(v, WignerGrid(extent=1.0, points=3))
+        res = reconstruct(v)
     assert res.r_fit > 0.0
+    # the marginals of the clamped blocks are evaluated without a second warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        marginals = wigner_marginals(v, res.r_fit, WignerGrid(extent=1.0, points=3))
+    for m in marginals.values():
+        assert np.all(np.isfinite(m.measured)) and np.all(m.measured > 0.0)
 
 
 def _reject_constant(token):
@@ -721,7 +728,6 @@ def _reject_constant(token):
 def test_reconstruct_json_round_trip(tmp_path):
     res = reconstruct(
         tms_theory_covariance(1.1, 0.05).cov,
-        WignerGrid(extent=2.0, points=11),
         scale_factors=(1.0, 0.98),
         n_records=(1000, 1000),
     )
@@ -739,10 +745,8 @@ def test_reconstruct_json_round_trip(tmp_path):
 
 
 def test_wigner_marginal_csv(tmp_path):
-    res = reconstruct(
-        tms_theory_covariance(0.3).cov + 0.01 * np.eye(4), WignerGrid(extent=1.0, points=3)
-    )
-    m = res.marginals["x1_p1"]
+    res = reconstruct(tms_theory_covariance(0.3).cov + 0.01 * np.eye(4))
+    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=1.0, points=3))["x1_p1"]
     for density in (m.measured, m.ideal):
         path = tmp_path / "w.csv"
         digest = cli._write_wigner_csv(path, m, density)
