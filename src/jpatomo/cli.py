@@ -39,10 +39,10 @@ from .config import (
     dumps_config,
     load_config,
 )
-from .detection import _record_blocks, output_two_mode_state, predicted_r
+from .detection import _paired_blocks, measure, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
-from .errors import ConfigError, NumericsError
-from .gaussian import tms_theory_covariance, vacuum_state
+from .errors import ConfigError, FloatOverflowError, NumericsError
+from .gaussian import tms_theory_covariance
 from .tomography import WignerGrid, estimate_from_blocks, wigner_marginals
 
 TWO_PI = 2.0 * np.pi
@@ -235,7 +235,12 @@ def _run_psd(cfg: ExperimentConfig, out: _Outputs) -> dict:
             )
         )
     )
-    s_noisy = s_true + run.psd_noise_sigma * rng.standard_normal(delta.size)
+    with np.errstate(over="ignore"):
+        s_noisy = s_true + run.psd_noise_sigma * rng.standard_normal(delta.size)
+    if not np.isfinite(s_noisy).all():
+        raise FloatOverflowError(
+            f"psd_noise_sigma = {run.psd_noise_sigma!r} overflows the noisy spectrum"
+        )
     fit = fit_psd(np.column_stack([delta, s_noisy]))
     if fit.g0 == 1.0:  # no peak: its width is nan, its height zero
         s_fit = np.full_like(delta, fit.n_noise)
@@ -302,8 +307,10 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
     # one pass on one worker thread: each chunk of draws feeds the pump-on
     # and pump-off accumulators
     with ThreadPoolExecutor(max_workers=1) as worker:
-        blocks = _record_blocks(
-            (state, vacuum_state(2)), det, run.n_records, run.seed, worker=worker
+        blocks = _paired_blocks(
+            measure(state, det, run.n_records, run.seed),
+            measure(state, det, run.n_records, run.seed, pump_on=False),
+            worker,
         )
         if run.save_records:
             blocks = _saved_blocks(blocks, out)
@@ -440,7 +447,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
-    print(f"{args.scenario}: wrote {len(manifest['outputs'])} files to {args.out}")
+    # the manifest lists every file but itself
+    print(f"{args.scenario}: wrote {len(manifest['outputs']) + 1} files to {args.out}")
     for key, value in sorted(manifest["results"].items()):
         if isinstance(value, (int, float, str, bool)):
             print(f"  {key}: {value}")

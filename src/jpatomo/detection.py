@@ -16,6 +16,7 @@ import operator
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -32,12 +33,12 @@ from .gaussian import GaussianState, _cholesky_with_jitter, vacuum_state
 FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
 _NORMALIZATION_TOL = 1e-10
-# Records per record block.  A pass holds two blocks' pump-on and pump-off
-# pairs and the next block's z and aux draws, 2 MB each, at once: the worker
-# adds block k's pump-off block while this thread draws block k + 1 (see
-# _record_blocks).  No result depends on it: the two generators are read in
-# record order whatever the block, and the moment sums run on a _HIST_SUB
-# cell grid of their own.
+# Records per block of every record read (RecordBatch._read, _paired_blocks).
+# A pass holds two blocks' pump-on and pump-off pairs and the next block's z
+# and aux draws, 2 MB each, at once: the worker adds block k's pump-off block
+# while this thread draws block k + 1 (see _record_blocks).  No result depends
+# on it: the two generators are read in record order whatever the block, and
+# the moment sums run on a _HIST_SUB cell grid of their own.
 _MEASURE_CHUNK = 1 << 16
 # Records per row block of a record block's build and of the histogram kernel,
 # and per cell of the moment sums (tomography imports it): a row block's
@@ -252,7 +253,7 @@ class DetectionConfig:
 
 
 class _Recipe(NamedTuple):
-    """What a deferred RecordBatch draws: `_record_blocks((source,), ...)`."""
+    """What an unread RecordBatch draws: `_record_blocks((source,), ...)`."""
 
     source: GaussianState
     config: DetectionConfig
@@ -268,13 +269,13 @@ class RecordBatch:
     are views of the store, and `quadratures()` and `chunks()` return the
     store or slices of it; all of them are read-only.
 
-    A batch from `measure` is a recipe: it draws nothing until it is read.
-    `quadratures()`, `s1` and `s2` draw the store on first use and keep it.
-    Until then `chunks()` at the default size (and so `save_binary` and the
-    tomography accumulators) draws block by block in O(chunk) memory, and
-    `len()` reads nothing.  Each such streaming read of an unread recipe
-    draws it again, so a caller that reads a batch more than once should
-    call `quadratures()` first.
+    A batch from `measure` is a recipe: it draws nothing until it is read,
+    and `len()` reads nothing.  Every read goes through `_read`: an unread
+    recipe read at the default block size (`chunks()`, `save_binary`, the
+    tomography accumulators) is drawn block by block in O(chunk) memory and
+    drawn again by each such read; `quadratures()`, `s1`, `s2` and a read at
+    any other size draw the store once and keep it.  A caller that reads a
+    batch more than once should call `quadratures()` first.
 
     The block size changes no result: the tomography accumulators sum cells
     of _HIST_SUB records on the global record grid, so `chunks(size)` at any
@@ -321,10 +322,6 @@ class RecordBatch:
     def __setstate__(self, state) -> None:
         self._init(*state)
 
-    def _blocks(self, out=None, worker=None) -> Iterator[tuple[NDArray[np.float64]]]:
-        r = self._recipe
-        return _record_blocks((r.source,), r.config, r.n, r.seed, out=out, worker=worker)
-
     @property
     def s1(self) -> NDArray[np.complex128]:
         return self.quadratures().view(np.complex128)[:, 0]
@@ -336,13 +333,41 @@ class RecordBatch:
     def __len__(self) -> int:
         return self._store.shape[0] if self._recipe is None else self._recipe.n
 
+    def _read(
+        self, worker: Executor | None = None, size: int | None = None
+    ) -> Iterator[NDArray[np.float64]]:
+        """Read-only blocks of at most `size` records (default _MEASURE_CHUNK).
+
+        An unread recipe at the default size is drawn one block at a time by
+        a record pass on `worker` (a one-thread executor; None: one of the
+        pass's own); anything else is sliced from the store.
+        """
+        if self._store is None and size in (None, _MEASURE_CHUNK):
+            source, config, n, seed = self._recipe
+            with contextlib.closing(
+                _record_blocks((source,), config, n, seed, worker=worker)
+            ) as blocks:
+                for (block,) in blocks:
+                    block.setflags(write=False)
+                    yield block
+            return
+        store = self.quadratures()
+        size = size or _MEASURE_CHUNK
+        for start in range(0, len(store), size):
+            yield store[start : start + size]
+
     def quadratures(self) -> NDArray[np.float64]:
         """Measured quadratures as columns (X1, P1, X2, P2)."""
         with self._lock:
             if self._store is None:
+                # with no store _read draws the recipe and never calls back
+                # here, so the lock, which is not re-entrant, is taken once
                 store = np.empty((len(self), 4))
-                for _ in self._blocks(out=(store,)):
-                    pass
+                start = 0
+                with contextlib.closing(self._read()) as blocks:
+                    for block in blocks:
+                        store[start : start + block.shape[0]] = block
+                        start += block.shape[0]
                 store.setflags(write=False)
                 self._store = store
         return self._store
@@ -357,27 +382,12 @@ class RecordBatch:
             size = operator.index(size)
             if size < 1:
                 raise ValueError(f"chunk size must be >= 1, got {size}")
-        if self._store is None and size in (None, _MEASURE_CHUNK):
-            return self._streamed()
-        return self._sliced(_MEASURE_CHUNK if size is None else size)
-
-    def _streamed(self, worker: Executor | None = None) -> Iterator[NDArray[np.float64]]:
-        """The unread recipe's blocks, drawn one at a time by a record pass
-        on `worker` (a one-thread executor; None: one of the pass's own)."""
-        with contextlib.closing(self._blocks(worker=worker)) as blocks:
-            for (block,) in blocks:
-                block.setflags(write=False)
-                yield block
-
-    def _sliced(self, size: int) -> Iterator[NDArray[np.float64]]:
-        store = self.quadratures()
-        for start in range(0, len(store), size):
-            yield store[start : start + size]
+        return self._read(size=size)
 
     def save_binary(self, path) -> None:
         """Little-endian float64 stream, record-major, columns (X1, P1, X2, P2)."""
-        with open(path, "wb") as fh:
-            for block in self.chunks():
+        with open(path, "wb") as fh, contextlib.closing(self._read()) as blocks:
+            for block in blocks:
                 block.astype("<f8", copy=False).tofile(fh)
 
     @classmethod
@@ -388,23 +398,43 @@ class RecordBatch:
         return cls._wrap(raw.reshape(-1, 4).astype(np.float64, copy=False))
 
 
-def _paired_record_blocks(
-    records_on: RecordBatch, records_off: RecordBatch, worker: Executor
-) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64]]] | None:
-    """(pump-on, pump-off) block pairs from one set of draws, or None.
+def _blocks_of(records, worker: Executor | None = None) -> Iterator[NDArray[np.float64]]:
+    """Quadrature blocks of a RecordBatch (see RecordBatch._read) or of an
+    (n, 4) array, which is one block."""
+    if isinstance(records, RecordBatch):
+        yield from records._read(worker)
+        return
+    arr = np.asarray(records, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise TypeError("records must be a RecordBatch or an (n, 4) quadrature array")
+    yield arr  # the accumulators walk it in cache-sized pieces
+
+
+def _paired_blocks(
+    records_on, records_off, worker: Executor
+) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """(pump-on, pump-off) quadrature block pairs, every record pass on `worker`.
 
     Two unread recipes that differ only in their source share every draw, so
-    one `_record_blocks` pass (on `worker`) yields both; any other pair
-    returns None.
+    one `_record_blocks` pass yields both; any other pair is read side by
+    side (see _blocks_of), the shorter side padded with empty blocks.
     """
-    for batch in (records_on, records_off):
-        if not isinstance(batch, RecordBatch) or batch._store is not None:
-            return None
-    on, off = records_on._recipe, records_off._recipe
+    on, off = (
+        r._recipe if isinstance(r, RecordBatch) and r._store is None else None
+        for r in (records_on, records_off)
+    )
+    matched = on and off and (on.config, on.n) == (off.config, off.n)
     # np.array_equal: a seed may also be a sequence of ints
-    if (on.config, on.n) != (off.config, off.n) or not np.array_equal(on.seed, off.seed):
-        return None
-    return _record_blocks((on.source, off.source), on.config, on.n, on.seed, worker=worker)
+    if matched and np.array_equal(on.seed, off.seed):
+        yield from _record_blocks(
+            (on.source, off.source), on.config, on.n, on.seed, worker=worker
+        )
+        return
+    with (
+        contextlib.closing(_blocks_of(records_on, worker)) as blocks_on,
+        contextlib.closing(_blocks_of(records_off, worker)) as blocks_off,
+    ):
+        yield from zip_longest(blocks_on, blocks_off, fillvalue=np.empty((0, 4)))
 
 
 def _record_blocks(
@@ -412,7 +442,6 @@ def _record_blocks(
     config: DetectionConfig,
     n: int,
     seed: int,
-    out: Sequence[NDArray[np.float64]] | None = None,
     worker: Executor | None = None,
 ) -> Iterator[tuple[NDArray[np.float64], ...]]:
     """Record blocks of every source from one set of random draws.
@@ -429,7 +458,8 @@ def _record_blocks(
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
 
-    whose columns are (Re S1, Im S1, Re S2, Im S2).
+    whose columns are (Re S1, Im S1, Re S2, Im S2).  Only `RecordBatch._read`
+    and `_paired_blocks` start a pass.
 
     `worker` is an executor with one thread, which runs its tasks in
     submission order (FIFO); without one the pass owns such a worker and
@@ -444,9 +474,8 @@ def _record_blocks(
     source's build of block k + 1, while this thread runs the consumer's
     own work on block k, z(k + 1) and the first source's build (see
     _build_block).  The blocks are bit-identical to a serial draw, and
-    closing the pass after block k draws nothing past block k + 1.  With
-    `out` (one (n, 4) array per source) the blocks are written into those
-    arrays and are views of them.  Callers validate the arguments.
+    closing the pass after block k draws nothing past block k + 1.  Callers
+    validate the arguments.
     """
     chols = [_cholesky_with_jitter(source.cov) for source in sources]
     n1, n2 = config.noise_pair
@@ -476,19 +505,16 @@ def _record_blocks(
         _columnwise(np.multiply, aux, noise_sd)
         return aux
 
-    def draw(aux, start: int, step: int):
+    def draw(aux, step: int):
         # every temporary dies on return: a suspended generator holds nothing
         # but the next block's aux draw
         z = rng_sig.standard_normal(out=np.empty((rows, 4))[:step])
         aux = aux.result()
-        if out is None:
-            # one allocation for all sources' blocks: glibc malloc keeps a
-            # freed pair on its heap (it trims at twice the largest freed
-            # mapping), where it trims separate blocks and faults their pages
-            # in again for every block
-            blocks = list(np.empty((len(sources), rows, 4))[:, :step])
-        else:
-            blocks = [array[start : start + step] for array in out]
+        # one allocation for all sources' blocks: glibc malloc keeps a freed
+        # pair on its heap (it trims at twice the largest freed mapping),
+        # where it trims separate blocks and faults their pages in again for
+        # every block
+        blocks = list(np.empty((len(sources), rows, 4))[:, :step])
         # the worker builds the second source's block while this thread
         # builds the first
         builds = [
@@ -514,7 +540,7 @@ def _record_blocks(
         pending = next_noise(0)
         try:
             for start in range(0, n, _MEASURE_CHUNK):
-                blocks = draw(pending, start, min(_MEASURE_CHUNK, n - start))
+                blocks = draw(pending, min(_MEASURE_CHUNK, n - start))
                 pending = next_noise(start + _MEASURE_CHUNK)
                 yield blocks
                 del blocks  # block k's pair is not kept while k + 1 is drawn

@@ -8,12 +8,14 @@ relation sqrt(G0) * B = c_gb * kappa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     FitDegenerateError,
+    FloatOverflowError,
     FluxDivergenceError,
     NoConvergenceError,
     UnstableRegimeError,
@@ -340,7 +342,8 @@ def fit_psd(samples) -> PsdFit:
     rising away from delta = 0 or lying below zero) the bandwidth is
     unidentified: it and the g0 and bandwidth errors are nan, and n_noise
     gets the error of a constant fit.  Data without detuning spread cannot
-    constrain the bandwidth and raises FitDegenerateError.
+    constrain the bandwidth and raises FitDegenerateError, and samples whose
+    sum of squares overflows float64 raise FloatOverflowError.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -365,9 +368,13 @@ def fit_psd(samples) -> PsdFit:
     b_min = float(np.ptp(deltas)) * 1e-9
     d2 = (2.0 * deltas) ** 2
     n = values.size
-    y_mean = float(values.mean())
-    y_dev = values - y_mean
-    y_ss = float(y_dev @ y_dev)
+    with np.errstate(over="ignore"):  # checked below
+        y_mean = float(values.mean())
+        y_dev = values - y_mean
+        y_ss = float(y_dev @ y_dev)
+    # every cost below is at most the samples' sum of squares
+    if not math.isfinite(y_ss + n * y_mean * y_mean):
+        raise FloatOverflowError("the PSD samples' sum of squares overflows float64")
 
     def profile(log_b):
         """(cost, g0 - 1, n_noise) arrays over the bandwidths exp(log_b)."""

@@ -69,3 +69,7 @@ class DegenerateReferenceError(NumericsError):
 
 class NonFiniteRecordError(NumericsError):
     """A measurement record holds an infinite or NaN quadrature."""
+
+
+class FloatOverflowError(NumericsError):
+    """An input is so large that a quantity built from it overflows float64."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidCovarianceError, SingularCovarianceError
+from .errors import FloatOverflowError, InvalidCovarianceError, SingularCovarianceError
 
 _SYMMETRY_RTOL = 1e-12
 _CHOLESKY_JITTER = 1e-12
@@ -121,14 +121,18 @@ def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
     """Closed-form two-mode squeezed vacuum plus symmetric excess noise.
 
     Diagonal entries cosh(2r)/4 + n_add/2, cross terms <x1 x2> = sinh(2r)/4
-    and <p1 p2> = -sinh(2r)/4, zero mean.
+    and <p1 p2> = -sinh(2r)/4, zero mean.  An entry beyond the float64
+    range raises FloatOverflowError.
     """
     if not np.isfinite(r):
         raise ValueError("r must be finite")
     if n_add < 0:
         raise ValueError(f"n_add must be >= 0, got {n_add}")
-    d = np.cosh(2 * r) / 4.0 + n_add / 2.0
-    c = np.sinh(2 * r) / 4.0
+    with np.errstate(over="ignore"):
+        d = np.cosh(2 * r) / 4.0 + n_add / 2.0
+        c = np.sinh(2 * r) / 4.0
+    if not (np.isfinite(d) and np.isfinite(c)):
+        raise FloatOverflowError(f"r = {r!r}, n_add = {n_add!r} overflow the covariance")
     cov = np.array(
         [
             [d, 0.0, c, 0.0],

@@ -21,13 +21,13 @@ import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, zip_longest
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .detection import _HIST_SUB, RecordBatch, _paired_record_blocks
+from .detection import _HIST_SUB, RecordBatch, _blocks_of, _paired_blocks
 from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
@@ -187,24 +187,6 @@ class Histogram2D:
         )
 
 
-def _iter_quadrature_blocks(
-    records, worker: Executor | None = None
-) -> Iterator[NDArray[np.float64]]:
-    """Blocks of a RecordBatch or an (n, 4) array; an unread recipe is drawn
-    by a record pass on `worker` (None: one of the pass's own)."""
-    if isinstance(records, RecordBatch):
-        if records._store is None:
-            yield from records._streamed(worker)
-        else:
-            yield from records.chunks()
-        return
-    arr = np.asarray(records, dtype=np.float64)
-    if arr.ndim == 2 and arr.shape[1] == 4:
-        yield arr  # the accumulators walk it in cache-sized pieces
-        return
-    raise TypeError("records must be a RecordBatch or an (n, 4) quadrature array")
-
-
 def _empty_cells(binning: Binning) -> NDArray[np.int64]:
     """Zeroed (6, (bins + 1)^2) bin cells, one row per pair of PAIR_LABELS."""
     side = binning.bins + 1
@@ -256,7 +238,7 @@ def _fold_histograms(
 def accumulate_histograms(records, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
     cells = _empty_cells(binning)
-    with contextlib.closing(_iter_quadrature_blocks(records)) as blocks:
+    with contextlib.closing(_blocks_of(records)) as blocks:
         for block in blocks:
             _histogram_block(cells, block, binning)
     return _fold_histograms(cells, binning)
@@ -427,7 +409,7 @@ class MomentAccumulator:
 
 def accumulate_moments(records) -> MomentSet:
     acc = MomentAccumulator()
-    with contextlib.closing(_iter_quadrature_blocks(records)) as blocks:
+    with contextlib.closing(_blocks_of(records)) as blocks:
         for block in blocks:
             acc.update(block)
     return acc.finalize()
@@ -761,11 +743,9 @@ def estimate_state(
 ) -> EstimationResult:
     """Records to reconstructed state in one call (see estimate_from_blocks).
 
-    A pump-on/pump-off pair of unread `measure` recipes that differ only in
-    the pump setting is drawn once, for both, in O(chunk) memory, by a
-    record pass that shares the estimate's one worker thread; any other
-    pair reads each side's blocks, an unread recipe's by a record pass on
-    that same worker.
+    `detection._paired_blocks` reads the pair on the estimate's one worker
+    thread: a pump-on/pump-off pair of unread `measure` recipes that differ
+    only in the pump setting is drawn once, for both, in O(chunk) memory.
     """
     with (
         ThreadPoolExecutor(max_workers=1) as worker,
@@ -780,20 +760,6 @@ def estimate_state(
             prefix_records=prefix_records,
             worker=worker,
         )
-
-
-def _paired_blocks(records_on, records_off, worker: Executor):
-    """(pump-on, pump-off) quadrature block pairs: a matched recipe pair is
-    drawn once, any other pair side by side, every record pass on `worker`."""
-    fused = _paired_record_blocks(records_on, records_off, worker)
-    if fused is not None:
-        yield from fused
-        return
-    with (
-        contextlib.closing(_iter_quadrature_blocks(records_on, worker)) as on,
-        contextlib.closing(_iter_quadrature_blocks(records_off, worker)) as off,
-    ):
-        yield from zip_longest(on, off, fillvalue=np.empty((0, 4)))
 
 
 def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):

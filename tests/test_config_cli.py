@@ -547,6 +547,19 @@ def test_tomography_saved_records_equal_measured_store(tmp_path, monkeypatch):
         assert np.array_equal(loaded.s1, batch.s1) and np.array_equal(loaded.s2, batch.s2)
 
 
+@pytest.mark.parametrize("save_records", [False, True])
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+def test_scenario_draws_its_records_in_one_pass(
+    tmp_path, monkeypatch, draws, method, save_records
+):
+    # a pump-on/pump-off pair that fell back to reading each side would
+    # make two passes and draw every record twice
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
+    cfg = small_run(method=method, save_records=save_records)
+    run_scenario("tomography", cfg, tmp_path)
+    assert draws == [math.ceil(cfg.run.n_records / detection._MEASURE_CHUNK)]
+
+
 def test_pump_off_histogram_failure_closes_files_and_joins_workers(tmp_path, monkeypatch):
     cfg = small_run(save_records=True)
     kernel = tomography._histogram_block
@@ -752,7 +765,9 @@ def test_cli_defaults_to_tomography(tmp_path, capsys):
     code = main(["--out", str(out), "--records", "20000", "--seed", "42"])
     assert code == 0
     assert (out / "covariance.json").exists()
-    assert "tomography" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "tomography" in printed
+    assert f"wrote {len(list(out.iterdir()))} files" in printed  # manifest.json too
 
 
 def test_cli_seed_and_records_override(tmp_path):
@@ -826,6 +841,23 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
     cfg_path.write_text(json.dumps(data))
     code = main(["--config", str(cfg_path), "--scenario", "psd", "--out", str(tmp_path / "o")])
     assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("override", "scenario"),
+    [
+        ('{"run": {"psd_noise_sigma": 1e200}}', "psd"),  # the fit's sum of squares
+        ('{"run": {"psd_noise_sigma": 1e308}}', "psd"),  # the noisy spectrum
+        ('{"run": {"r_true": 400.0}}', "tomography"),  # the covariance
+    ],
+    ids=["psd-fit", "psd-spectrum", "tomography-covariance"],
+)
+def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(override)
+    args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
+    assert main([*args, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

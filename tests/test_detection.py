@@ -1,6 +1,7 @@
 """Filter design, filtered-mode moments, and heterodyne record synthesis."""
 
 import dataclasses
+import pickle
 import threading
 
 import numpy as np
@@ -636,6 +637,23 @@ def test_unread_recipe_streams_chunks_and_binary_on_the_global_grid(
     assert (tmp_path / "records.bin").read_bytes() == store.astype("<f8").tobytes()
     assert recipe._store is None
     assert draws == [4, 4, 4]
+
+
+def test_record_batch_pickles_a_recipe_undrawn_and_a_store_read_only(draws):
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    data = pickle.dumps(measure(state, cfg, 10**7, seed=4))
+    assert len(data) < 1024  # the recipe, not 320 MB of records
+    assert len(pickle.loads(data)) == 10**7
+    recipe = measure(state, cfg, 1000, seed=4)
+    copy = pickle.loads(pickle.dumps(recipe))
+    assert draws == [] and len(copy) == 1000
+    assert copy.quadratures().tobytes() == recipe.quadratures().tobytes()
+    stored = RecordBatch._wrap(recipe.quadratures().copy())
+    back = pickle.loads(pickle.dumps(stored))
+    assert back.quadratures().tobytes() == stored.quadratures().tobytes()
+    assert not back.quadratures().flags.writeable
+    assert draws == [1, 1]
 
 
 def test_record_batch_binary_rejects_truncated_stream(tmp_path):
