@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
+import sys
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -33,17 +34,19 @@ from .gaussian import GaussianState, _cholesky_with_jitter, vacuum_state
 FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
 _NORMALIZATION_TOL = 1e-10
-# Records per block of every record read (RecordBatch._read, _paired_blocks).
-# A pass holds two blocks' pump-on and pump-off pairs and the next block's z
-# and aux draws, 2 MB each, at once: the worker adds block k's pump-off block
-# while this thread draws block k + 1 (see _record_blocks).  No result depends
-# on it: the two generators are read in record order whatever the block, and
-# the moment sums run on a _HIST_SUB cell grid of their own.
-_MEASURE_CHUNK = 1 << 16
 # Records per row block of a record block's build and of the histogram kernel,
 # and per cell of the moment sums (tomography imports it): a row block's
 # temporaries stay in L2 cache.
 _HIST_SUB = 1 << 14
+# Records per block of every record read (RecordBatch._read, _paired_blocks):
+# one _HIST_SUB cell.  A pass holds its draw workspace (z and two aux slots,
+# 512 KiB each) and at most two pump-on/pump-off block pairs (1 MiB each),
+# 3.5 MiB in all, since the worker adds block k's pump-off block while this
+# thread draws block k + 1 (see _record_blocks); every array of it stays
+# below numpy's 4 MiB huge-page threshold.  No result depends on it: the two
+# generators are read in record order whatever the block, and the moment sums
+# run on a _HIST_SUB cell grid of their own.
+_MEASURE_CHUNK = _HIST_SUB
 # Rows per period of a tiled per-column vector (see _columnwise).
 _TILE_ROWS = 1 << 8
 
@@ -271,11 +274,12 @@ class RecordBatch:
 
     A batch from `measure` is a recipe: it draws nothing until it is read,
     and `len()` reads nothing.  Every read goes through `_read`: an unread
-    recipe read at the default block size (`chunks()`, `save_binary`, the
-    tomography accumulators) is drawn block by block in O(chunk) memory and
-    drawn again by each such read; `quadratures()`, `s1`, `s2` and a read at
-    any other size draw the store once and keep it.  A caller that reads a
-    batch more than once should call `quadratures()` first.
+    recipe read at the default block size of one 2^14-record cell
+    (`chunks()`, `save_binary`, the tomography accumulators) is drawn block
+    by block in O(block) memory and drawn again by each such read;
+    `quadratures()`, `s1`, `s2` and a read at any other size draw the store
+    once and keep it.  A caller that reads a batch more than once should
+    call `quadratures()` first.
 
     The block size changes no result: the tomography accumulators sum cells
     of _HIST_SUB records on the global record grid, so `chunks(size)` at any
@@ -466,13 +470,14 @@ def _record_blocks(
     joins it when it finishes or is closed.  The worker draws every block's
     aux and scales it by the noise deviations; the consuming thread draws
     every block's z; so each generator is read in order by one thread.
-    Block k + 1's aux draw is submitted before block k is yielded, so a
-    consumer that submits work on block k to the same worker (as
-    `tomography.estimate_from_blocks` adds the pump-off block) gets it run
-    after that draw and before block k + 1's build.  Per block the worker
-    runs aux(k + 1), the consumer's task on block k, then the second
-    source's build of block k + 1, while this thread runs the consumer's
-    own work on block k, z(k + 1) and the first source's build (see
+    Block k + 1's aux draw is queued right behind block k's second-source
+    build, into the other of two aux slots, so a consumer that submits work
+    on block k to the same worker (as `tomography.estimate_from_blocks` adds
+    the pump-off block) gets it run after that draw and before block k + 1's
+    build.  Per block the worker runs the second source's build of block k,
+    aux(k + 1), then the consumer's task on block k, and never waits for
+    this thread in between, while this thread runs the first source's build
+    of block k, the consumer's own work on block k and z(k + 1) (see
     _build_block).  The blocks are bit-identical to a serial draw, and
     closing the pass after block k draws nothing past block k + 1.  Callers
     validate the arguments.
@@ -491,47 +496,42 @@ def _record_blocks(
         for channel in (0, 1)
     )
 
-    # Every z, aux and block-pair allocation of the pass has `rows` rows; a
-    # short last block is a leading view of one.  glibc malloc hands back a
-    # freed chunk of the same size, but a chunk of a new size gets fresh
-    # pages that fault in again: 48 passes of 4e5 records (6 full blocks and
-    # a 6,784-record tail) took 72.9k minor faults and 0.32 s of system time
-    # with tail-sized allocations, 96 faults and 0.06 s without (2-vCPU
-    # x86-64 VM).
+    # The pass allocates its draw workspace (z and two aux slots) once, and
+    # every block pair at one size: a short last block is a leading view of
+    # `rows` rows.  glibc malloc hands back a freed chunk of the same size,
+    # but a chunk of a new size gets fresh pages that fault in again.
     rows = min(n, _MEASURE_CHUNK)
+    work = np.empty((3, rows, 4))
+    # A block pair is drawn into again once no view of it is held anywhere:
+    # every view of a pair, however derived, references the pair itself, so
+    # its reference count counts them.  A consumer that keeps its blocks gets
+    # a new pair per block; one that lets them go, as the accumulators do,
+    # cycles through two, and the heap top is not trimmed and faulted in
+    # again under them (about 50k minor faults in a 10^7-record pass).
+    pairs, unviewed = [], None
 
-    def noise(step: int):
-        aux = rng_noise.standard_normal(out=np.empty((rows, 4))[:step])
+    def free_pair():
+        nonlocal unviewed
+        for pair in pairs:
+            if sys.getrefcount(pair) == unviewed:
+                return pair
+        pair = np.empty((len(sources), rows, 4))
+        if len(pairs) < 2:
+            pairs.append(pair)
+            # the count of a pair that only `pairs` and `pair` hold, taken
+            # as the loop above takes it
+            unviewed = sys.getrefcount(pair)
+        return pair
+
+    def noise(k: int, step: int):
+        aux = rng_noise.standard_normal(out=work[1 + k % 2, :step])
         _columnwise(np.multiply, aux, noise_sd)
         return aux
 
-    def draw(aux, step: int):
-        # every temporary dies on return: a suspended generator holds nothing
-        # but the next block's aux draw
-        z = rng_sig.standard_normal(out=np.empty((rows, 4))[:step])
-        aux = aux.result()
-        # one allocation for all sources' blocks: glibc malloc keeps a freed
-        # pair on its heap (it trims at twice the largest freed mapping),
-        # where it trims separate blocks and faults their pages in again for
-        # every block
-        blocks = list(np.empty((len(sources), rows, 4))[:, :step])
-        # the worker builds the second source's block while this thread
-        # builds the first
-        builds = [
-            worker.submit(_build_block, block, z, aux, chol, mean, gains)
-            for block, chol, mean in zip(blocks[1:], chols[1:], means[1:])
-        ]
-        try:
-            _build_block(blocks[0], z, aux, chols[0], means[0], gains)
-        finally:
-            wait(builds)  # the worker writes into these blocks
-        for build in builds:
-            build.result()
-        return tuple(blocks)
-
-    def next_noise(start: int):
+    def next_noise(k: int):
+        start = k * _MEASURE_CHUNK
         if start < n:
-            return worker.submit(noise, min(_MEASURE_CHUNK, n - start))
+            return worker.submit(noise, k, min(_MEASURE_CHUNK, n - start))
         return None
 
     with contextlib.ExitStack() as stack:
@@ -539,10 +539,27 @@ def _record_blocks(
             worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
         pending = next_noise(0)
         try:
-            for start in range(0, n, _MEASURE_CHUNK):
-                blocks = draw(pending, min(_MEASURE_CHUNK, n - start))
-                pending = next_noise(start + _MEASURE_CHUNK)
-                yield blocks
+            for k, start in enumerate(range(0, n, _MEASURE_CHUNK)):
+                step = min(_MEASURE_CHUNK, n - start)
+                z = rng_sig.standard_normal(out=work[0, :step])
+                aux = pending.result()
+                # one allocation for all sources' blocks
+                blocks = list(free_pair()[:, :step])
+                # the worker builds the second source's block while this
+                # thread builds the first, then draws block k + 1's aux into
+                # the other slot
+                builds = [
+                    worker.submit(_build_block, block, z, aux, chol, mean, gains)
+                    for block, chol, mean in zip(blocks[1:], chols[1:], means[1:])
+                ]
+                pending = next_noise(k + 1)
+                try:
+                    _build_block(blocks[0], z, aux, chols[0], means[0], gains)
+                finally:
+                    wait(builds)  # the worker writes into these blocks
+                for build in builds:
+                    build.result()
+                yield tuple(blocks)
                 del blocks  # block k's pair is not kept while k + 1 is drawn
         finally:
             # closed after block k: block k + 1's aux is not drawn unless its

@@ -207,6 +207,10 @@ class PsdFit:
 # spike on one sample can pull the best fit) up to 1e5 span (beyond which the
 # profile cost of a spectrum without a peak is flat to rounding)
 _LOG_B_STEPS = np.linspace(0.0, np.log(1e14), 101)
+# Largest (bandwidths, samples) float64 temporary of a profile evaluation:
+# below glibc's initial 128 KiB mmap threshold, so the grid's temporaries come
+# from the heap and are not mapped, or trimmed off its top, on every fit
+_PROFILE_BYTES = 120 << 10
 _GOLDEN_STEP = (3.0 - np.sqrt(5.0)) / 2.0  # the shorter golden-section share
 _LOG_B_TOL = 1e-6
 _POLISH_STEPS = 50
@@ -376,9 +380,14 @@ def fit_psd(samples) -> PsdFit:
     if not math.isfinite(y_ss + n * y_mean * y_mean):
         raise FloatOverflowError("the PSD samples' sum of squares overflows float64")
 
+    rows = max(1, _PROFILE_BYTES // (8 * n))
+
     def profile(log_b):
-        """(cost, g0 - 1, n_noise) arrays over the bandwidths exp(log_b)."""
-        return _linear_fit(*_lorentz_sums(log_b, d2, y_dev), n, y_mean, y_ss)
+        """(cost, g0 - 1, n_noise) arrays over the bandwidths exp(log_b),
+        whose Lorentzian sums are taken `rows` bandwidths at a time."""
+        groups = np.array_split(log_b, -(-log_b.size // rows))
+        sums = zip(*(_lorentz_sums(group, d2, y_dev) for group in groups))
+        return _linear_fit(*map(np.concatenate, sums), n, y_mean, y_ss)
 
     def line_point(log_b):
         return tuple(float(a[0]) for a in profile(np.array([log_b])))

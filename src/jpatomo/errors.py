@@ -73,3 +73,16 @@ class NonFiniteRecordError(NumericsError):
 
 class FloatOverflowError(NumericsError):
     """An input is so large that a quantity built from it overflows float64."""
+
+
+class UnresolvedSignalError(NumericsError):
+    """float64 cannot resolve the vacuum quarter against the pump-off variances.
+
+    The deconvolved diagonal is Var_on - Var_off + 1/4.  Two float64 numbers
+    of size V differ by a multiple of their spacing ulp(V) = 2^(e - 52),
+    where 2^e <= V < 2^(e + 1), so the difference resolves nothing finer
+    than ulp(V).  Once ulp(Var_off) >= 1/4, i.e. e >= 50 or Var_off >= 2^50
+    (about 1.1e15; n_noise of about 2.3e15 photons at Var_off =
+    (2 n_noise + 2)/4), the subtraction cannot tell the signal's variance
+    from the vacuum quarter it is measured against.
+    """

@@ -34,6 +34,7 @@ from .errors import (
     NonFiniteRecordError,
     RangeTooSmallError,
     UnphysicalStateError,
+    UnresolvedSignalError,
 )
 from .gaussian import (
     GaussianState,
@@ -89,22 +90,35 @@ class Binning:
     def width(self) -> float:
         return (self.hi - self.lo) / self.bins
 
-    def index(self, values: NDArray[np.float64]):
+    def index(self, values: NDArray[np.float64], out=None):
         """Bin index per value plus an in-range mask.
 
         Values exactly at the upper edge land in the last bin, so the rule is
         a pure function of (value, lo, hi, bins) and shard merges are exact.
-        An infinite or NaN value raises NonFiniteRecordError.
+        An infinite or NaN value raises NonFiniteRecordError.  `out`, if
+        given, is an (index, mask, scratch) triple of int64, bool and float64
+        arrays of the values' shape, which receive the indices, the mask and
+        the scaled values; the first two are returned.
         """
-        inside = (values >= self.lo) & (values <= self.hi)
+        if out is None:
+            out = (
+                np.empty(values.shape, np.int64),
+                np.empty(values.shape, bool),
+                np.empty(values.shape),
+            )
+        idx, inside, scaled = out
+        np.greater_equal(values, self.lo, out=inside)
+        inside &= values <= self.hi
         if not inside.all() and not np.isfinite(values).all():
             raise NonFiniteRecordError("records hold an infinite or NaN quadrature")
         # a finite value far out of range may scale to +-inf or past int64;
         # clipped before the cast, it lands in an edge bin (and is out of range)
         with np.errstate(over="ignore"):
-            scaled = (values - self.lo) / self.width
+            np.subtract(values, self.lo, out=scaled)
+            np.divide(scaled, self.width, out=scaled)
         np.clip(scaled, 0, self.bins - 1, out=scaled)
-        return scaled.astype(np.int64), inside
+        np.copyto(idx, scaled, casting="unsafe")
+        return idx, inside
 
 
 def auto_binning(
@@ -187,39 +201,72 @@ class Histogram2D:
         )
 
 
-def _empty_cells(binning: Binning) -> NDArray[np.int64]:
-    """Zeroed (6, (bins + 1)^2) bin cells, one row per pair of PAIR_LABELS."""
-    side = binning.bins + 1
-    return np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
+# Axis indices of each pair of PAIR_LABELS
+_PAIR_AXES = tuple((_AXIS_INDEX[x], _AXIS_INDEX[y]) for x, y in PAIR_LABELS)
+
+
+class _PairCells:
+    """The six pairs' bin cells of one pass, and the buffers `_histogram_block`
+    bins a row block in.
+
+    `counts` holds one row of (bins + 1)^2 cells per pair of PAIR_LABELS.
+    The buffers are made at the first row block and again only for a longer
+    one, so a pass bins every row block in the same memory.
+    """
+
+    __slots__ = ("counts", "_idx", "_inside", "_scaled", "_lin")
+
+    def __init__(self, binning: Binning) -> None:
+        side = binning.bins + 1
+        self.counts = np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
+        self._lin = np.empty(0, np.int64)
+
+    def buffers(self, m: int):
+        """(index, mask, scratch, linear index) buffers for m records."""
+        if m > self._lin.size:
+            self._idx = np.empty((m, 4), np.int64)
+            self._inside = np.empty((m, 4), bool)
+            self._scaled = np.empty((m, 4))
+            self._lin = np.empty(m, np.int64)
+        return self._idx[:m], self._inside[:m], self._scaled[:m], self._lin[:m]
+
+
+def _empty_cells(binning: Binning) -> _PairCells:
+    """Zeroed bin cells of the six pairs."""
+    return _PairCells(binning)
 
 
 def _histogram_block(
-    cells: NDArray[np.int64], block: NDArray[np.float64], binning: Binning
+    cells: _PairCells, block: NDArray[np.float64], binning: Binning
 ) -> None:
     """Add one (m, 4) quadrature block to the six pairs' bin cells.
 
-    The block is walked in sub-blocks of _HIST_SUB records, which keeps the
-    index temporaries in cache.  All four columns of a sub-block are binned
-    at once and out-of-range values go to a sentinel bin `bins`; one
-    bincount per pair over the (bins + 1)^2 cells then counts the pair, and
-    the sentinel row and column hold its overflow.  A pass keeps its cells
-    until _fold_histograms turns them into histograms once, at the end.  A
-    non-finite value raises NonFiniteRecordError (it is checked for only in
-    sub-blocks that hold out-of-range values, before any bin index is
-    computed).
+    The block is walked in row blocks of _HIST_SUB records, which keeps the
+    index buffers in cache.  `Binning.index` bins all four columns of a row
+    block at once into the buffers of `cells`, and out-of-range values go to
+    a sentinel bin `bins`; each pair's linear cell indices are then counted
+    straight into its (bins + 1)^2 cells with `np.add.at`, and the sentinel
+    row and column hold its overflow.  So no row block allocates anything of
+    its size but bool masks.  A pass keeps its cells until _fold_histograms
+    turns them into histograms once, at the end.  A non-finite value raises
+    NonFiniteRecordError (it is checked for only in row blocks that hold
+    out-of-range values, before any bin index is computed).
     """
     nbins = binning.bins
     side = nbins + 1
     for start in range(0, block.shape[0], _HIST_SUB):
-        idx, inside = binning.index(block[start : start + _HIST_SUB])
-        idx[~inside] = nbins
-        for p, (x, y) in enumerate(PAIR_LABELS):
-            lin = idx[:, _AXIS_INDEX[x]] * side + idx[:, _AXIS_INDEX[y]]
-            cells[p] += np.bincount(lin, minlength=side * side)
+        rows = block[start : start + _HIST_SUB]
+        idx, inside, scaled, lin = cells.buffers(rows.shape[0])
+        binning.index(rows, out=(idx, inside, scaled))
+        np.copyto(idx, nbins, where=~inside)
+        for counts, (a, b) in zip(cells.counts, _PAIR_AXES):
+            np.multiply(idx[:, a], side, out=lin)
+            lin += idx[:, b]
+            np.add.at(counts, lin, 1)
 
 
 def _fold_histograms(
-    cells: NDArray[np.int64], binning: Binning
+    cells: _PairCells, binning: Binning
 ) -> dict[tuple[str, str], Histogram2D]:
     """The six pair histograms of `_histogram_block` cells; the sentinel
     row and column are the overflow."""
@@ -227,7 +274,7 @@ def _fold_histograms(
     side = nbins + 1
     edges = binning.edges
     hists = {}
-    for pair, pair_cells in zip(PAIR_LABELS, cells):
+    for pair, pair_cells in zip(PAIR_LABELS, cells.counts):
         counts = pair_cells.reshape(side, side)[:nbins, :nbins].copy()
         n_total = int(pair_cells.sum())
         overflow = n_total - int(counts.sum())
@@ -306,7 +353,8 @@ class MomentSet:
         var = np.diag(cov)
         if np.any(var < 0.0):
             raise InvalidCovarianceError("variances must be non-negative")
-        bound = np.sqrt(np.outer(var, var))
+        sd = np.sqrt(var)  # not sqrt(var var^T), which overflows past 1e154
+        bound = np.outer(sd, sd)
         if np.any(np.abs(cov) > bound * (1.0 + 1e-9) + 1e-12):
             raise InvalidCovarianceError("covariances violate Cauchy-Schwarz")
         mean.setflags(write=False)
@@ -494,7 +542,15 @@ def deconvolve(moments_on: MomentSet, moments_off: MomentSet) -> NDArray[np.floa
     Diagonal: Var_on - Var_off + 1/4 (removes the chain's thermal mode and
     puts back the vacuum half-quantum the reference subtraction took out).
     Off-diagonal: Cov_on - Cov_off, cancelling any common systematic.
+    A pump-off variance whose float64 spacing is at least the vacuum quarter
+    1/4 resolves no signal and raises UnresolvedSignalError.
     """
+    var_off = float(np.max(moments_off.variances))
+    if np.spacing(var_off) >= 0.25:
+        raise UnresolvedSignalError(
+            f"pump-off variance {var_off:.3e} is too large for float64 to "
+            "resolve the vacuum quarter"
+        )
     v = moments_on.cov - moments_off.cov + 0.25 * np.eye(4)
     return 0.5 * (v + v.T)
 

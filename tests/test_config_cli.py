@@ -861,6 +861,32 @@ def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_noise", ["1e30", "1e40", "1e300"])
+def test_cli_unresolvable_signal_returns_3(tmp_path, capsys, n_noise):
+    # the pump-on and pump-off records round to the same numbers, which
+    # would deconvolve to an exact vacuum whatever the signal
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"detection": {{"n_noise": {n_noise}}}}}')
+    args = ["--config", str(cfg_path), "--records", "200000", "--out", str(tmp_path / "o")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "resolve the vacuum quarter" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("method", ["histogram", "streaming"])
+def test_cli_vacuum_run_gives_exactly_a_quarter_and_exits_0(tmp_path, method):
+    # with r_true = 0 both pump settings draw the same records: v = I/4 is
+    # the right answer, not an unresolved one
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"run": {{"r_true": 0.0, "method": "{method}"}}}}')
+    out = tmp_path / "o"
+    args = ["--config", str(cfg_path), "--records", "200000", "--out", str(out)]
+    assert main(args) == 0
+    v = json.loads((out / "covariance.json").read_text())["v"]
+    assert v == (np.eye(4) / 4.0).reshape(-1).tolist()
+
+
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
 @pytest.mark.parametrize("records", [0, 1])
 def test_cli_too_few_records_returns_3(tmp_path, capsys, method, records):

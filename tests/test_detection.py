@@ -474,8 +474,8 @@ def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, se
 
 @pytest.mark.parametrize("n", [3 * 4096 + 7, 100])
 def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
-    # a short last block is a leading view of a full-size allocation, so
-    # the pass allocates one size of z, aux and block pair throughout
+    # z and the two aux slots are one allocation per pass; a short last block
+    # is a leading view of a full-size block pair
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
@@ -483,7 +483,7 @@ def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
     want = [_whole_chunk_records(s, cfg, n, 5, 4096) for s in sources]
     rows = min(n, 4096)
     tail = (n - 1) // 4096 * 4096  # the first record of the last block
-    allocated = []
+    workspaces = []
     generator = np.random.Generator
 
     class RecordingGenerator:
@@ -491,17 +491,70 @@ def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
             self._generator = generator(bit_generator)
 
         def standard_normal(self, out):
-            allocated.append(out.base.shape)
+            workspaces.append(out.base)
             return self._generator.standard_normal(out=out)
 
     monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
     blocks = list(detection._record_blocks(sources, cfg, n, 5))
-    assert allocated == [(rows, 4)] * (2 * len(blocks))  # a z and an aux per block
+    assert len(workspaces) == 2 * len(blocks)  # a z and an aux per block
+    assert all(w is workspaces[0] for w in workspaces)
+    assert workspaces[0].shape == (3, rows, 4)
     for pair in blocks:
         assert all(block.base.shape == (2, rows, 4) for block in pair)
     for last, ref in zip(blocks[-1], want):
         assert last.shape[0] == n - tail
         assert (last == ref[tail:]).all()
+
+
+def test_every_array_of_a_default_pass_is_below_the_huge_page_threshold(monkeypatch):
+    # numpy advises transparent huge pages for an allocation of 4 MiB or
+    # more, which adds whole 2 MiB pages to a run's peak RSS
+    workspaces = []
+    generator = np.random.Generator
+
+    class RecordingGenerator:
+        def __init__(self, bit_generator):
+            self._generator = generator(bit_generator)
+
+        def standard_normal(self, out):
+            workspaces.append(out.base.nbytes)
+            return self._generator.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", RecordingGenerator)
+    sources = (two_mode_squeeze(vacuum_state(2), 1.3), vacuum_state(2))
+    n = 2 * detection._MEASURE_CHUNK + 7
+    blocks = detection._record_blocks(sources, DetectionConfig(), n, 5)
+    pairs = [pair[0].base.nbytes for pair in blocks]
+    assert len(pairs) == 3 and len(workspaces) == 6
+    assert max(pairs + workspaces) < 4 << 20
+
+
+def test_a_pass_reuses_a_block_pair_only_once_no_block_of_it_is_held(monkeypatch):
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
+    cfg = DetectionConfig(n_noise_ch2=40.0)
+    sources = (state, vacuum_state(2))
+    n = 10 * 4096 + 7
+    want = [_whole_chunk_records(s, cfg, n, 5, 4096) for s in sources]
+    made = []
+    empty = np.empty
+
+    def counted(shape, *args, **kwargs):
+        made.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counted)
+    # each pair is let go once the next one is read: two serve the pass
+    for k, pair in enumerate(detection._record_blocks(sources, cfg, n, 5)):
+        for block, ref in zip(pair, want):
+            assert (block == ref[k * 4096 : (k + 1) * 4096]).all()
+    assert made.count((2, 4096, 4)) == 2
+    # every block kept: a pair of its own each, holding its records
+    del made[:]
+    kept = list(detection._record_blocks(sources, cfg, n, 5))
+    assert made.count((2, 4096, 4)) == len(kept) == 11
+    for got, ref in zip(zip(*kept), want):
+        assert (np.concatenate(got) == ref).all()
 
 
 def test_closing_the_engine_after_block_k_draws_nothing_past_block_k_plus_1(monkeypatch):

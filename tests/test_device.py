@@ -240,6 +240,41 @@ def _default_psd_samples(offset):
     return np.column_stack([deltas, psd(deltas, prof, cfg.detection.n_noise) + noise])
 
 
+@pytest.mark.parametrize("points", [200, 1000])
+def test_fit_psd_grid_temporaries_stay_below_the_mmap_threshold(monkeypatch, points):
+    # glibc maps a request of 128 KiB or more by default and trims the heap
+    # top above twice that; every (bandwidths, samples) temporary of the ln B
+    # grid comes from one np.multiply.outer and has its size
+    samples = _default_psd_samples(0)
+    if points != samples.shape[0]:
+        deltas = np.linspace(samples[0, 0], samples[-1, 0], points)
+        samples = np.column_stack([deltas, np.interp(deltas, *samples.T)])
+    sizes = []
+
+    class Multiply:
+        def __call__(self, *args, **kwargs):
+            return np.multiply(*args, **kwargs)
+
+        def outer(self, a, b):
+            product = np.multiply.outer(a, b)
+            sizes.append(product.nbytes)
+            return product
+
+    class Numpy:
+        multiply = Multiply()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(device, "np", Numpy())
+        fit = fit_psd(samples)
+    assert len(sizes) > 1 and max(sizes) <= 128 << 10
+    # the whole grid in one evaluation gives the same bits
+    monkeypatch.setattr(device, "_PROFILE_BYTES", 1 << 30)
+    assert fit == fit_psd(samples)
+
+
 def test_fit_psd_matches_least_squares_reference_on_default_spectra():
     for offset in range(50):
         samples = _default_psd_samples(offset)
@@ -398,9 +433,11 @@ def test_fit_psd_line_search_is_brent(monkeypatch):
     for offset in range(50):
         del calls[:]
         fit_psd(_default_psd_samples(offset))
-        assert calls[0] == device._LOG_B_STEPS.size  # the whole grid in one call
-        assert all(size == 1 for size in calls[1:])
-        assert 1 <= len(calls) - 1 <= 15
+        # the grid in two row groups (see device._PROFILE_BYTES), then one
+        # bandwidth per line-search step
+        assert calls[:2] == [51, 50] and sum(calls[:2]) == device._LOG_B_STEPS.size
+        assert all(size == 1 for size in calls[2:])
+        assert 1 <= len(calls) - 2 <= 15
 
 
 def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):

@@ -26,6 +26,7 @@ from jpatomo.errors import (
     NumericsError,
     RangeTooSmallError,
     UnphysicalStateError,
+    UnresolvedSignalError,
 )
 from jpatomo.gaussian import tms_theory_covariance, two_mode_squeeze, vacuum_state
 from jpatomo.tomography import (
@@ -203,6 +204,66 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
         assert (h.n_total, h.overflow) == (q.shape[0], q.shape[0] - int(kept.sum()))
     # rows at lo and hi land in the first and last bins
     assert hists[("X1", "P1")].counts[0, 0] >= 1 and hists[("X1", "P1")].counts[7, 7] >= 1
+
+
+def _reference_cells(q, binning):
+    """The six pairs' cells by the Binning.index rule written out: a value in
+    [lo, hi] lands in bin floor((v - lo) / width), hi in the last one; any
+    other value goes to bin `bins`, the overflow of each pair on its axis."""
+    nbins, side = binning.bins, binning.bins + 1
+    inside = (q >= binning.lo) & (q <= binning.hi)
+    idx = np.full(q.shape, nbins)
+    idx[inside] = np.minimum(np.floor((q[inside] - binning.lo) / binning.width), nbins - 1)
+    cells = np.zeros((len(PAIR_LABELS), side * side), np.int64)
+    for row, (x, y) in zip(cells, PAIR_LABELS):
+        a, b = tomography._AXIS_INDEX[x], tomography._AXIS_INDEX[y]
+        lin, counts = np.unique(idx[:, a] * side + idx[:, b], return_counts=True)
+        row[lin] = counts
+    return cells
+
+
+_SUB = 1 << 14
+_KERNEL_BLOCKS = [1, 2, _SUB - 1, _SUB, _SUB + 1]
+
+
+def _edge_records(m, seed):
+    binning = Binning(-3.0, 3.0)
+    q = np.random.default_rng(seed).uniform(-3.2, 3.2, size=(m, 4))
+    edges = [binning.lo, binning.hi, 1e308, -1e308]
+    for k, value in enumerate(edges):
+        q[(k * 7919) % m, k] = value  # one axis of a record
+        q[(k * 104729 + 1) % m] = value  # every axis of a record
+    return binning, q
+
+
+@pytest.mark.parametrize("m", _KERNEL_BLOCKS)
+def test_buffered_histogram_kernel_equals_the_index_rule(m):
+    binning, q = _edge_records(m, seed=m)
+    cells = tomography._empty_cells(binning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tomography._histogram_block(cells, q, binning)
+    assert (cells.counts == _reference_cells(q, binning)).all()
+
+
+def test_buffered_histogram_kernel_reuses_its_buffers_across_block_lengths():
+    # one pass's cells take blocks of every length in turn: the buffers made
+    # for a short block grow for a longer one, and shorter ones use a part
+    binning = Binning(-3.0, 3.0)
+    blocks = [_edge_records(m, seed=m)[1] for m in _KERNEL_BLOCKS + _KERNEL_BLOCKS[::-1]]
+    cells = tomography._empty_cells(binning)
+    for block in blocks:
+        tomography._histogram_block(cells, block, binning)
+    assert (cells.counts == _reference_cells(np.concatenate(blocks), binning)).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("m", [1, _SUB + 1])
+def test_buffered_histogram_kernel_rejects_non_finite_records(bad, m):
+    binning, q = _edge_records(m, seed=3)
+    q[m - 1, 2] = bad  # in the last row block
+    with pytest.raises(NonFiniteRecordError):
+        tomography._histogram_block(tomography._empty_cells(binning), q, binning)
 
 
 def test_far_out_of_range_values_are_overflow_without_a_warning():
@@ -542,6 +603,17 @@ def test_apply_scale_algebra():
 def test_deconvolve_identical_moments_yields_vacuum():
     ms = MomentSet(np.zeros(4), np.eye(4) * 35.0, 1000)
     np.testing.assert_allclose(deconvolve(ms, ms), np.eye(4) / 4.0)
+
+
+def test_deconvolve_rejects_a_reference_whose_spacing_reaches_the_vacuum_quarter():
+    # float64 spacing reaches 1/4 at 2^50: below it the quarter still resolves
+    below = np.nextafter(2.0**50, 0.0)
+    ms = MomentSet(np.zeros(4), np.diag([1.0, 1.0, below, 1.0]), 1000)
+    assert (deconvolve(ms, ms) == np.eye(4) / 4.0).all()
+    for var in (2.0**50, 5e29, 5e299):
+        ms = MomentSet(np.zeros(4), np.diag([1.0, var, 1.0, 1.0]), 1000)
+        with pytest.raises(UnresolvedSignalError, match="resolve the vacuum quarter"):
+            deconvolve(ms, ms)
 
 
 def test_deconvolve_recovers_ground_truth_at_one_million_records():
@@ -1003,6 +1075,28 @@ def test_moment_merge_on_cell_boundaries_equals_one_pass():
         for shard in shards[-2:0:-1]:
             right = MomentAccumulator().merge(shard).merge(right)
         assert _same_moments(MomentAccumulator().update(q[: edges[1]]).merge(right).finalize(), want)
+
+
+@pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
+def test_histogram_estimate_traced_peak_is_a_few_cells_whatever_the_length():
+    # a pass holds its draw workspace, two block pairs and each setting's
+    # cells and index buffers, 7.6 MiB in all (15.3 MiB with 2^16-record
+    # blocks); thread timing decides whether the worker still holds block
+    # k's pump-off block when block k + 1's pair is made, one 1 MiB pair
+    state = tms_theory_covariance(1.78, 0.0)
+    cfg = DetectionConfig()
+    peaks = {}
+    for n in (1_000_000, 4_000_000):
+        on = measure(state, cfg, n, seed=5)
+        off = measure(state, cfg, n, seed=5, pump_on=False)
+        tracemalloc.start()
+        try:
+            estimate_state(on, off, cfg.noise_pair)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] < 10 << 20
+    assert peaks[4_000_000] <= peaks[1_000_000] + (1 << 20)
 
 
 @pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
