@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
+import os
 import sys
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
@@ -34,19 +35,13 @@ from .gaussian import GaussianState, _cholesky_with_jitter, vacuum_state
 FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
 _NORMALIZATION_TOL = 1e-10
-# Records per row block of a record block's build and of the histogram kernel,
-# and per cell of the moment sums (tomography imports it): a row block's
-# temporaries stay in L2 cache.
-_HIST_SUB = 1 << 14
-# Records per block of every record read (RecordBatch._read, _paired_blocks):
-# one _HIST_SUB cell.  A pass holds its draw workspace (z and two aux slots,
-# 512 KiB each) and at most two pump-on/pump-off block pairs (1 MiB each),
-# 3.5 MiB in all, since the worker adds block k's pump-off block while this
-# thread draws block k + 1 (see _record_blocks); every array of it stays
-# below numpy's 4 MiB huge-page threshold.  No result depends on it: the two
-# generators are read in record order whatever the block, and the moment sums
-# run on a _HIST_SUB cell grid of their own.
-_MEASURE_CHUNK = _HIST_SUB
+# Records per block of every record read (RecordBatch._read, _paired_blocks)
+# and, as tomography._CELL, per cell of the tomography accumulators: a
+# block's temporaries stay in L2 cache.  A pass holds its draw workspace (z
+# and two aux slots, 512 KiB each) and at most two pump-on/pump-off block
+# pairs (1 MiB each), 3.5 MiB in all, each array below numpy's 4 MiB
+# huge-page threshold.  No result depends on it (see _record_blocks).
+_MEASURE_CHUNK = 1 << 14
 # Rows per period of a tiled per-column vector (see _columnwise).
 _TILE_ROWS = 1 << 8
 
@@ -275,15 +270,15 @@ class RecordBatch:
     A batch from `measure` is a recipe: it draws nothing until it is read,
     and `len()` reads nothing.  Every read goes through `_read`: an unread
     recipe read at the default block size of one 2^14-record cell
-    (`chunks()`, `save_binary`, the tomography accumulators) is drawn block
-    by block in O(block) memory and drawn again by each such read;
+    (`chunks()`, the tomography accumulators) is drawn block by block in
+    O(block) memory and drawn again by each such read;
     `quadratures()`, `s1`, `s2` and a read at any other size draw the store
     once and keep it.  A caller that reads a batch more than once should
     call `quadratures()` first.
 
     The block size changes no result: the tomography accumulators sum cells
-    of _HIST_SUB records on the global record grid, so `chunks(size)` at any
-    size, the stored array and the streamed recipe give bit-identical
+    of tomography._CELL records on the global record grid, so `chunks(size)`
+    at any size, the stored array and the streamed recipe give bit-identical
     moments and histograms.
     """
 
@@ -388,17 +383,13 @@ class RecordBatch:
                 raise ValueError(f"chunk size must be >= 1, got {size}")
         return self._read(size=size)
 
-    def save_binary(self, path) -> None:
-        """Little-endian float64 stream, record-major, columns (X1, P1, X2, P2)."""
-        with open(path, "wb") as fh, contextlib.closing(self._read()) as blocks:
-            for block in blocks:
-                block.astype("<f8", copy=False).tofile(fh)
-
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
+        """Records of a little-endian float64 stream, record-major, columns
+        (X1, P1, X2, P2): 32 bytes per record (ValueError otherwise)."""
+        if os.path.getsize(path) % 32 != 0:
+            raise ValueError("binary record stream length is not a multiple of 32 bytes")
         raw = np.fromfile(path, dtype="<f8")
-        if raw.size % 4 != 0:
-            raise ValueError("binary record stream length is not a multiple of 4")
         return cls._wrap(raw.reshape(-1, 4).astype(np.float64, copy=False))
 
 
@@ -455,9 +446,9 @@ def _record_blocks(
     on one global grid of _MEASURE_CHUNK records counted from record 0, so
     they equal `RecordBatch.chunks()` of the stored records.  No record
     depends on _MEASURE_CHUNK (see _build_block), and the tomography
-    accumulators sum on a grid of _HIST_SUB-record cells of their own, so
-    the block size moves no result; accumulators merged on cell boundaries
-    equal one pass bit for bit.  Each block is drawn once and
+    accumulators sum on a grid of tomography._CELL-record cells of their
+    own, so the block size moves no result; accumulators merged on cell
+    boundaries equal one pass bit for bit.  Each block is drawn once and
     yields one C-contiguous (m, 4) block per source,
 
         (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
@@ -591,28 +582,20 @@ def _columnwise(ufunc, rows: NDArray[np.float64], tiled: NDArray[np.float64]) ->
 
 
 def _build_block(block, z, aux, chol, mean, gains) -> None:
-    """block[:] = (z @ chol.T + mean + aux) * gains, one row block at a time.
+    """block[:] = (z @ chol.T + mean + aux) * gains.
 
     `mean` and `gains` are `_tiled` per-column vectors (see _columnwise).  A
-    row block's four steps run while its z and aux rows are still in cache.
-    The last row block takes the remainder, so a row block has one row only
-    when the whole block has.  That row comes from a two-row product: numpy
-    hands a one-row matmul to gemv, whose rounding differs from gemm's, and
-    no record may depend on the block it falls in.
+    one-row block comes from a two-row product: numpy hands a one-row matmul
+    to gemv, whose rounding differs from gemm's, and no record may depend on
+    the block it falls in.
     """
-    m = block.shape[0]
-    count = max(m // _HIST_SUB, 1)
-    for k in range(count):
-        lo = k * _HIST_SUB
-        hi = m if k == count - 1 else lo + _HIST_SUB
-        rows = block[lo:hi]
-        if hi - lo == 1:
-            rows[:] = np.matmul(np.repeat(z[lo:hi], 2, axis=0), chol.T)[:1]
-        else:
-            np.matmul(z[lo:hi], chol.T, out=rows)
-        _columnwise(np.add, rows, mean)
-        rows += aux[lo:hi]
-        _columnwise(np.multiply, rows, gains)
+    if block.shape[0] == 1:
+        block[:] = np.matmul(np.repeat(z, 2, axis=0), chol.T)[:1]
+    else:
+        np.matmul(z, chol.T, out=block)
+    _columnwise(np.add, block, mean)
+    block += aux
+    _columnwise(np.multiply, block, gains)
 
 
 def measure(

@@ -6,9 +6,8 @@ second moments (Sheppard-corrected), calibrate per-channel scale factors off
 the pump-off reference, subtract the reference moments to remove the
 detection chain, assemble the 4x4 covariance of the underlying mode pair,
 and fit the squeezing model.  The Wigner marginals of an estimate are
-evaluated on a grid on request (`wigner_marginals`).  Histogram and
-streaming-moment accumulators are mergeable so records can be processed in
-shards.
+evaluated on a grid on request (`wigner_marginals`).  Histograms and
+moment accumulators are mergeable so records can be processed in shards.
 
 Every function returns numbers and opens no file: `cli` decides what each
 output file holds and writes it.
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .detection import _HIST_SUB, RecordBatch, _blocks_of, _paired_blocks
+from .detection import _MEASURE_CHUNK, RecordBatch, _blocks_of, _paired_blocks
 from .errors import (
     DegenerateReferenceError,
     InvalidCovarianceError,
@@ -204,91 +203,78 @@ class Histogram2D:
 # Axis indices of each pair of PAIR_LABELS
 _PAIR_AXES = tuple((_AXIS_INDEX[x], _AXIS_INDEX[y]) for x, y in PAIR_LABELS)
 
+# Records per cell of the moment sums and per row block of the histogram
+# counts: one record block
+_CELL = _MEASURE_CHUNK
 
-class _PairCells:
-    """The six pairs' bin cells of one pass, and the buffers `_histogram_block`
-    bins a row block in.
 
-    `counts` holds one row of (bins + 1)^2 cells per pair of PAIR_LABELS.
-    The buffers are made at the first row block and again only for a longer
-    one, so a pass bins every row block in the same memory.
+class HistogramAccumulator:
+    """Streaming counts of the six pair histograms over 4-column blocks.
+
+    A block is counted in row blocks of _CELL records, in index buffers of
+    _CELL rows made once, here, so no row block allocates anything of its
+    size but bool masks.  An out-of-range value goes to a sentinel bin
+    `bins`, and each pair's linear cell indices are counted into its
+    (bins + 1)^2 cells with `np.add.at`: the sentinel row and column hold its
+    overflow.  Any block sizes give the same counts.  A non-finite value
+    raises NonFiniteRecordError (see Binning.index).
     """
 
-    __slots__ = ("counts", "_idx", "_inside", "_scaled", "_lin")
+    __slots__ = ("binning", "_cells", "_idx", "_inside", "_scaled", "_lin")
 
     def __init__(self, binning: Binning) -> None:
         side = binning.bins + 1
-        self.counts = np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
-        self._lin = np.empty(0, np.int64)
+        self.binning = binning
+        self._cells = np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
+        self._idx = np.empty((_CELL, 4), np.int64)
+        self._inside = np.empty((_CELL, 4), bool)
+        self._scaled = np.empty((_CELL, 4))
+        self._lin = np.empty(_CELL, np.int64)
 
-    def buffers(self, m: int):
-        """(index, mask, scratch, linear index) buffers for m records."""
-        if m > self._lin.size:
-            self._idx = np.empty((m, 4), np.int64)
-            self._inside = np.empty((m, 4), bool)
-            self._scaled = np.empty((m, 4))
-            self._lin = np.empty(m, np.int64)
-        return self._idx[:m], self._inside[:m], self._scaled[:m], self._lin[:m]
+    def update(self, block: NDArray[np.float64]) -> "HistogramAccumulator":
+        nbins = self.binning.bins
+        side = nbins + 1
+        for start in range(0, block.shape[0], _CELL):
+            rows = block[start : start + _CELL]
+            m = rows.shape[0]
+            idx, inside, lin = self._idx[:m], self._inside[:m], self._lin[:m]
+            self.binning.index(rows, out=(idx, inside, self._scaled[:m]))
+            np.copyto(idx, nbins, where=~inside)
+            for cells, (a, b) in zip(self._cells, _PAIR_AXES):
+                np.multiply(idx[:, a], side, out=lin)
+                lin += idx[:, b]
+                np.add.at(cells, lin, 1)
+        return self
 
+    def histograms(self) -> dict[tuple[str, str], Histogram2D]:
+        """The six pair histograms; the sentinel row and column of each
+        pair's cells are its overflow."""
+        nbins = self.binning.bins
+        side = nbins + 1
+        edges = self.binning.edges
+        hists = {}
+        for pair, cells in zip(PAIR_LABELS, self._cells):
+            counts = cells.reshape(side, side)[:nbins, :nbins].copy()
+            n_total = int(cells.sum())
+            overflow = n_total - int(counts.sum())
+            hists[pair] = Histogram2D(pair, edges, edges.copy(), counts, n_total, overflow)
+        return hists
 
-def _empty_cells(binning: Binning) -> _PairCells:
-    """Zeroed bin cells of the six pairs."""
-    return _PairCells(binning)
-
-
-def _histogram_block(
-    cells: _PairCells, block: NDArray[np.float64], binning: Binning
-) -> None:
-    """Add one (m, 4) quadrature block to the six pairs' bin cells.
-
-    The block is walked in row blocks of _HIST_SUB records, which keeps the
-    index buffers in cache.  `Binning.index` bins all four columns of a row
-    block at once into the buffers of `cells`, and out-of-range values go to
-    a sentinel bin `bins`; each pair's linear cell indices are then counted
-    straight into its (bins + 1)^2 cells with `np.add.at`, and the sentinel
-    row and column hold its overflow.  So no row block allocates anything of
-    its size but bool masks.  A pass keeps its cells until _fold_histograms
-    turns them into histograms once, at the end.  A non-finite value raises
-    NonFiniteRecordError (it is checked for only in row blocks that hold
-    out-of-range values, before any bin index is computed).
-    """
-    nbins = binning.bins
-    side = nbins + 1
-    for start in range(0, block.shape[0], _HIST_SUB):
-        rows = block[start : start + _HIST_SUB]
-        idx, inside, scaled, lin = cells.buffers(rows.shape[0])
-        binning.index(rows, out=(idx, inside, scaled))
-        np.copyto(idx, nbins, where=~inside)
-        for counts, (a, b) in zip(cells.counts, _PAIR_AXES):
-            np.multiply(idx[:, a], side, out=lin)
-            lin += idx[:, b]
-            np.add.at(counts, lin, 1)
+    def finalize(self) -> MomentSet:
+        return moment_set_from_histograms(self.histograms())
 
 
-def _fold_histograms(
-    cells: _PairCells, binning: Binning
-) -> dict[tuple[str, str], Histogram2D]:
-    """The six pair histograms of `_histogram_block` cells; the sentinel
-    row and column are the overflow."""
-    nbins = binning.bins
-    side = nbins + 1
-    edges = binning.edges
-    hists = {}
-    for pair, pair_cells in zip(PAIR_LABELS, cells.counts):
-        counts = pair_cells.reshape(side, side)[:nbins, :nbins].copy()
-        n_total = int(pair_cells.sum())
-        overflow = n_total - int(counts.sum())
-        hists[pair] = Histogram2D(pair, edges, edges.copy(), counts, n_total, overflow)
-    return hists
+def _accumulate(accumulator, records):
+    """`accumulator` updated with every quadrature block of `records`."""
+    with contextlib.closing(_blocks_of(records)) as blocks:
+        for block in blocks:
+            accumulator.update(block)
+    return accumulator
 
 
 def accumulate_histograms(records, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
-    cells = _empty_cells(binning)
-    with contextlib.closing(_blocks_of(records)) as blocks:
-        for block in blocks:
-            _histogram_block(cells, block, binning)
-    return _fold_histograms(cells, binning)
+    return _accumulate(HistogramAccumulator(binning), records).histograms()
 
 
 class HistogramMoments(NamedTuple):
@@ -367,10 +353,6 @@ class MomentSet:
         return np.diag(self.cov)
 
 
-# Records per cell of the moment sums
-_CELL = _HIST_SUB
-
-
 class MomentAccumulator:
     """Streaming (and mergeable) moment sums over 4-column blocks.
 
@@ -442,6 +424,10 @@ class MomentAccumulator:
         self.n += other.n
         return self
 
+    def histograms(self) -> None:
+        """None: moment sums keep no histograms."""
+        return None
+
     def finalize(self) -> MomentSet:
         if self.n < 2:
             raise DegenerateReferenceError("need at least 2 records for moments")
@@ -456,11 +442,7 @@ class MomentAccumulator:
 
 
 def accumulate_moments(records) -> MomentSet:
-    acc = MomentAccumulator()
-    with contextlib.closing(_blocks_of(records)) as blocks:
-        for block in blocks:
-            acc.update(block)
-    return acc.finalize()
+    return _accumulate(MomentAccumulator(), records).finalize()
 
 
 def moment_set_from_histograms(
@@ -888,8 +870,8 @@ def estimate_from_blocks(
     shared with the `_record_blocks` pass that draws `blocks` (None: the
     estimate owns one).  The worker adds each pump-off block while this
     thread adds the pump-on block and then draws the next one (see
-    _add_pairs), so a histogram, whose bincount holds the GIL, runs beside a
-    draw, which releases it, not beside the other histogram.  Integer
+    _add_pairs), so a histogram, whose `np.add.at` holds the GIL, runs beside
+    a draw, which releases it, not beside the other histogram.  Integer
     counts and the cell grid of the moment sums make the result independent
     of that split and of the block sizes.
     """
@@ -897,25 +879,14 @@ def estimate_from_blocks(
         raise ValueError("method must be 'histogram' or 'streaming'")
     blocks = iter(blocks)
     binning = None
-    hists_on = hists_off = None
+    accumulator = MomentAccumulator
     if method == "histogram":
         binning, blocks = _binning_from_head(blocks, bins, bin_sigmas, prefix_records)
-        cells_on, cells_off = _empty_cells(binning), _empty_cells(binning)
-        _add_pairs(
-            blocks,
-            partial(_histogram_block, cells_on, binning=binning),
-            partial(_histogram_block, cells_off, binning=binning),
-            worker,
-        )
-        hists_on = _fold_histograms(cells_on, binning)
-        hists_off = _fold_histograms(cells_off, binning)
-        raw_on = moment_set_from_histograms(hists_on)
-        raw_off = moment_set_from_histograms(hists_off)
-    else:
-        acc_on, acc_off = MomentAccumulator(), MomentAccumulator()
-        _add_pairs(blocks, acc_on.update, acc_off.update, worker)
-        raw_on = acc_on.finalize()
-        raw_off = acc_off.finalize()
+        accumulator = partial(HistogramAccumulator, binning)
+    acc_on, acc_off = accumulator(), accumulator()
+    _add_pairs(blocks, acc_on.update, acc_off.update, worker)
+    raw_on = acc_on.finalize()
+    raw_off = acc_off.finalize()
     scales = calibrate(raw_off, n_noise)
     on = apply_scale(raw_on, scales)
     off = apply_scale(raw_off, scales)
@@ -924,8 +895,8 @@ def estimate_from_blocks(
     return EstimationResult(
         tomography=result,
         binning=binning,
-        histograms_on=hists_on,
-        histograms_off=hists_off,
+        histograms_on=acc_on.histograms(),
+        histograms_off=acc_off.histograms(),
         moments_on=on,
         moments_off=off,
     )

@@ -34,7 +34,7 @@ from jpatomo.config import (
     save_config,
 )
 from jpatomo.detection import RecordBatch, measure
-from jpatomo.device import gain, gain_profile
+from jpatomo.device import GAIN_BANDWIDTH_CONST, gain, gain_profile
 from jpatomo.errors import ConfigError, NumericsError
 from jpatomo.gaussian import tms_theory_covariance
 from jpatomo.tomography import PAIR_LABELS, WignerGrid, estimate_state, wigner_marginals
@@ -562,13 +562,13 @@ def test_scenario_draws_its_records_in_one_pass(
 
 def test_pump_off_histogram_failure_closes_files_and_joins_workers(tmp_path, monkeypatch):
     cfg = small_run(save_records=True)
-    kernel = tomography._histogram_block
+    update = tomography.HistogramAccumulator.update
 
-    def failing(hists, block, binning):
+    def failing(hists, block):
         # the pump-off histograms are filled off the main thread
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("pump-off histogram failed")
-        kernel(hists, block, binning)
+        return update(hists, block)
 
     opened = []
 
@@ -576,7 +576,7 @@ def test_pump_off_histogram_failure_closes_files_and_joins_workers(tmp_path, mon
         opened.append(builtins.open(*args, **kwargs))
         return opened[-1]
 
-    monkeypatch.setattr(tomography, "_histogram_block", failing)
+    monkeypatch.setattr(tomography.HistogramAccumulator, "update", failing)
     monkeypatch.setattr(cli, "open", tracking_open, raising=False)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="pump-off histogram failed"):
@@ -633,10 +633,10 @@ def test_a_record_pass_owns_one_worker_thread(tmp_path, monkeypatch, path, metho
         return consumer
 
     if method == "histogram":
-        monkeypatch.setattr(tomography, "_histogram_block", watched(tomography._histogram_block))
+        accumulator = tomography.HistogramAccumulator
     else:
         accumulator = tomography.MomentAccumulator
-        monkeypatch.setattr(accumulator, "update", watched(accumulator.update))
+    monkeypatch.setattr(accumulator, "update", watched(accumulator.update))
     opened = []
 
     def tracking_open(*args, **kwargs):
@@ -899,9 +899,9 @@ def test_cli_too_few_records_returns_3(tmp_path, capsys, method, records):
     assert "need at least 2 records" in capsys.readouterr().err
 
 
-def _run_all_scenarios():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_scenarios.py"
-    spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
+def _script_main(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script.main
@@ -917,10 +917,17 @@ def _run_all_scenarios():
     ids=["one-record", "negative-records", "negative-seed"],
 )
 def test_run_all_scenarios_exits_like_the_cli(tmp_path, capsys, override, code, message):
-    assert _run_all_scenarios()(["--out", str(tmp_path), *override]) == code
+    assert _script_main("run_all_scenarios")(["--out", str(tmp_path), *override]) == code
     assert message in capsys.readouterr().err
     # an override the CLI rejects stops the script before any scenario runs
     assert (code == 2) == (not any(tmp_path.iterdir()))
+
+
+def test_calibrate_defaults_reproduces_the_device_constant(capsys):
+    # the script root-finds the constant that device.py hard-codes
+    _script_main("calibrate_defaults")()
+    out = capsys.readouterr().out
+    assert f"gain_bandwidth_const = {GAIN_BANDWIDTH_CONST!r}\n" in out
 
 
 def test_cli_unwritable_out_returns_4(tmp_path, capsys):

@@ -320,6 +320,15 @@ def test_measure_prefix_stability():
     short = measure(state, cfg, 500, seed=21)
     long = measure(state, cfg, 2000, seed=21)
     np.testing.assert_array_equal(long.s1[:500], short.s1)
+    # the last block of a pass one record past a block is one row long; a
+    # one-row product rounds differently for about one record in three, and
+    # a quiet chain's aux noise hides fewer of the differing bits
+    n = detection._MEASURE_CHUNK
+    quiet = DetectionConfig(n_noise=0.0)
+    for seed in range(21, 29):
+        one_row = measure(state, quiet, n + 1, seed=seed).quadratures()
+        seven_rows = measure(state, quiet, n + 7, seed=seed).quadratures()
+        assert one_row[n].tobytes() == seven_rows[n].tobytes()
 
 
 def test_measure_pump_off_equals_vacuum_measurement():
@@ -401,19 +410,18 @@ def _whole_chunk_records(source, config, n, seed, chunk):
 
 
 @pytest.mark.parametrize("seed", [1, 3])
-@pytest.mark.parametrize("rows", [3, 4097, 1 << 14])
-def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, rows, seed):
-    # a row block of 3 leaves one row at the end of every chunk: the last
-    # row block must take it, since a one-row matmul rounds differently
-    monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
-    monkeypatch.setattr(detection, "_HIST_SUB", rows)
+@pytest.mark.parametrize("chunk", [3, 4097, 1 << 14])
+def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, chunk, seed):
+    # the reference is one product over the whole stream; a block size of 3
+    # leaves a one-row last block, which must round as that product does
+    monkeypatch.setattr(detection, "_MEASURE_CHUNK", chunk)
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
-    n = 3 * 4096 + 7
+    n = 3 * chunk + 7
     sources = (state, vacuum_state(2))
-    want = [_whole_chunk_records(s, cfg, n, seed, 4096) for s in sources]
+    want = [_whole_chunk_records(s, cfg, n, seed, n) for s in sources]
     blocks = list(detection._record_blocks(sources, cfg, n, seed))
-    assert [on.shape[0] for on, _ in blocks] == [4096, 4096, 4096, 7]
+    assert [on.shape[0] for on, _ in blocks] == [chunk] * (n // chunk) + [n % chunk]
     for got, ref in zip(zip(*blocks), want):
         assert (np.concatenate(got) == ref).all()
     for pump_on, ref in zip((True, False), want):
@@ -657,7 +665,7 @@ def test_record_batch_chunks_reject_a_size_below_one_before_drawing(draws, size)
 def test_record_batch_binary_roundtrip(tmp_path):
     batch = measure(two_mode_squeeze(vacuum_state(2), 1.3), DetectionConfig(), 64, seed=3)
     path = tmp_path / "records.bin"
-    batch.save_binary(path)
+    batch.quadratures().astype("<f8").tofile(path)
     assert path.stat().st_size == 64 * 4 * 8
     back = RecordBatch.load_binary(path)
     np.testing.assert_array_equal(back.s1, batch.s1)
@@ -686,10 +694,8 @@ def test_unread_recipe_streams_chunks_and_binary_on_the_global_grid(
     assert [b.shape[0] for b in blocks] == [4096, 4096, 4096, 7]
     for got, want in zip(blocks, RecordBatch._wrap(store.copy()).chunks(), strict=True):
         assert got.tobytes() == want.tobytes() and not got.flags.writeable
-    recipe.save_binary(tmp_path / "records.bin")
-    assert (tmp_path / "records.bin").read_bytes() == store.astype("<f8").tobytes()
     assert recipe._store is None
-    assert draws == [4, 4, 4]
+    assert draws == [4, 4]
 
 
 def test_record_batch_pickles_a_recipe_undrawn_and_a_store_read_only(draws):
@@ -711,9 +717,11 @@ def test_record_batch_pickles_a_recipe_undrawn_and_a_store_read_only(draws):
 
 def test_record_batch_binary_rejects_truncated_stream(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * (8 * 7))
-    with pytest.raises(ValueError):
-        RecordBatch.load_binary(path)
+    # 7 doubles; 3 records and 5 bytes; 4 records and 3 bytes
+    for size in (8 * 7, 32 * 3 + 5, 32 * 4 + 3):
+        path.write_bytes(b"\x00" * size)
+        with pytest.raises(ValueError):
+            RecordBatch.load_binary(path)
 
 
 def test_record_batch_shape_validation():

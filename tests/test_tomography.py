@@ -189,10 +189,8 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
     for row, value in enumerate(edges):
         q[row * 2501, row % 4] = value
         q[row * 2501 + 1] = value
-    cells = tomography._empty_cells(binning)
-    monkeypatch.setattr(tomography, "_HIST_SUB", sub)
-    tomography._histogram_block(cells, q, binning)
-    hists = tomography._fold_histograms(cells, binning)
+    monkeypatch.setattr(tomography, "_CELL", sub)
+    hists = tomography.HistogramAccumulator(binning).update(q).histograms()
 
     idx, inside = binning.index(q)
     for pair, h in hists.items():
@@ -239,22 +237,22 @@ def _edge_records(m, seed):
 @pytest.mark.parametrize("m", _KERNEL_BLOCKS)
 def test_buffered_histogram_kernel_equals_the_index_rule(m):
     binning, q = _edge_records(m, seed=m)
-    cells = tomography._empty_cells(binning)
+    acc = tomography.HistogramAccumulator(binning)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tomography._histogram_block(cells, q, binning)
-    assert (cells.counts == _reference_cells(q, binning)).all()
+        acc.update(q)
+    assert (acc._cells == _reference_cells(q, binning)).all()
 
 
 def test_buffered_histogram_kernel_reuses_its_buffers_across_block_lengths():
-    # one pass's cells take blocks of every length in turn: the buffers made
-    # for a short block grow for a longer one, and shorter ones use a part
+    # one pass's accumulator takes blocks of every length in turn: each row
+    # block uses a part of the buffers made for one cell
     binning = Binning(-3.0, 3.0)
     blocks = [_edge_records(m, seed=m)[1] for m in _KERNEL_BLOCKS + _KERNEL_BLOCKS[::-1]]
-    cells = tomography._empty_cells(binning)
+    acc = tomography.HistogramAccumulator(binning)
     for block in blocks:
-        tomography._histogram_block(cells, block, binning)
-    assert (cells.counts == _reference_cells(np.concatenate(blocks), binning)).all()
+        acc.update(block)
+    assert (acc._cells == _reference_cells(np.concatenate(blocks), binning)).all()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -263,7 +261,7 @@ def test_buffered_histogram_kernel_rejects_non_finite_records(bad, m):
     binning, q = _edge_records(m, seed=3)
     q[m - 1, 2] = bad  # in the last row block
     with pytest.raises(NonFiniteRecordError):
-        tomography._histogram_block(tomography._empty_cells(binning), q, binning)
+        tomography.HistogramAccumulator(binning).update(q)
 
 
 def test_far_out_of_range_values_are_overflow_without_a_warning():
@@ -307,9 +305,7 @@ def _threaded_estimate_matches_serial_kernel(seed):
         (on, fused.histograms_on),
         (off, fused.histograms_off),
     ):
-        cells = tomography._empty_cells(est.binning)
-        tomography._histogram_block(cells, records, est.binning)
-        ref = tomography._fold_histograms(cells, est.binning)
+        ref = tomography.HistogramAccumulator(est.binning).update(records).histograms()
         for pair in PAIR_LABELS:
             assert np.array_equal(hists[pair].counts, ref[pair].counts)
             assert (hists[pair].n_total, hists[pair].overflow) == (
@@ -978,9 +974,10 @@ def test_unmatched_recipe_pair_draws_each_side(monkeypatch, draws, method, diffe
         return consumer
 
     if method == "histogram":
-        monkeypatch.setattr(tomography, "_histogram_block", watched(tomography._histogram_block))
+        accumulator = tomography.HistogramAccumulator
     else:
-        monkeypatch.setattr(MomentAccumulator, "update", watched(MomentAccumulator.update))
+        accumulator = MomentAccumulator
+    monkeypatch.setattr(accumulator, "update", watched(accumulator.update))
     _assert_same_estimate(_estimate_or_error(on, off, method), want)
     assert not isinstance(want, Exception)
     assert len(draws) == 2
