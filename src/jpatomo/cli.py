@@ -27,6 +27,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +66,22 @@ class _Outputs:
         self.digests[name] = writer(self.directory / name, *args)
 
 
-def _write_text(path, text: str) -> str:
-    """Write `text` to `path` as it is (no newline translation) and return
-    the SHA-256 hex digest of the bytes written."""
-    data = text.encode()
+def _write_chunks(path, chunks) -> str:
+    """Write the strings of `chunks` to `path` one after the other, as they
+    are (no newline translation), and return the SHA-256 hex digest of the
+    bytes written."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for chunk in chunks:
+            data = chunk.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _write_text(path, text: str) -> str:
+    """`text` written as one chunk (see _write_chunks)."""
+    return _write_chunks(path, (text,))
 
 
 def _write_csv(path, header, columns) -> str:
@@ -105,13 +115,15 @@ def _write_histogram_csv(path, hist) -> str:
 def _write_wigner_csv(path, marginal, density) -> str:
     """Header `<x label>,<y label>,density` in lower case, then one
     `x,y,density` row of float reprs per grid point, x-major: the csv
-    module's excel dialect, written as one string.  Returns the file's
-    SHA-256."""
+    module's excel dialect, written one x value's rows at a time.  Returns
+    the file's SHA-256."""
     ys = [repr(y) for y in marginal.y.tolist()]
-    lines = [f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"]
-    for x, row in zip(marginal.x.tolist(), density.tolist()):
-        lines.extend(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row))
-    return _write_text(path, "".join(lines))
+    header = f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"
+    rows = (
+        "".join(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row.tolist()))
+        for x, row in zip(marginal.x.tolist(), density)
+    )
+    return _write_chunks(path, chain([header], rows))
 
 
 def _covariance_payload(result) -> dict:

@@ -203,21 +203,33 @@ class Histogram2D:
 # Axis indices of each pair of PAIR_LABELS
 _PAIR_AXES = tuple((_AXIS_INDEX[x], _AXIS_INDEX[y]) for x, y in PAIR_LABELS)
 
-# Records per cell of the moment sums and per row block of the histogram
-# counts: one record block
+# Records per cell of the moment sums: one record block
 _CELL = _MEASURE_CHUNK
+
+# Records per row block of the histogram counts: a quarter cell, so the four
+# index buffers of an accumulator take 0.3 MiB; integer counts make every row
+# block size give the same counts
+_HIST_ROWS = _CELL // 4
+
+
+def _as_block(block) -> NDArray[np.float64]:
+    """`block` as a float64 array, which must be (n, 4)."""
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != 4:
+        raise ValueError("block must be (n, 4)")
+    return block
 
 
 class HistogramAccumulator:
     """Streaming counts of the six pair histograms over 4-column blocks.
 
-    A block is counted in row blocks of _CELL records, in index buffers of
-    _CELL rows made once, here, so no row block allocates anything of its
-    size but bool masks.  An out-of-range value goes to a sentinel bin
-    `bins`, and each pair's linear cell indices are counted into its
-    (bins + 1)^2 cells with `np.add.at`: the sentinel row and column hold its
-    overflow.  Any block sizes give the same counts.  A non-finite value
-    raises NonFiniteRecordError (see Binning.index).
+    A block is counted in row blocks of _HIST_ROWS = 2^12 records, in index
+    buffers of _HIST_ROWS rows (0.3 MiB) made once, here, so no row block
+    allocates anything of its size but bool masks.  An out-of-range value
+    goes to a sentinel bin `bins`, and each pair's linear cell indices are
+    counted into its (bins + 1)^2 cells with `np.add.at`: the sentinel row
+    and column hold its overflow.  Any block sizes give the same counts.  A
+    non-finite value raises NonFiniteRecordError (see Binning.index).
     """
 
     __slots__ = ("binning", "_cells", "_idx", "_inside", "_scaled", "_lin")
@@ -226,16 +238,17 @@ class HistogramAccumulator:
         side = binning.bins + 1
         self.binning = binning
         self._cells = np.zeros((len(PAIR_LABELS), side * side), dtype=np.int64)
-        self._idx = np.empty((_CELL, 4), np.int64)
-        self._inside = np.empty((_CELL, 4), bool)
-        self._scaled = np.empty((_CELL, 4))
-        self._lin = np.empty(_CELL, np.int64)
+        self._idx = np.empty((_HIST_ROWS, 4), np.int64)
+        self._inside = np.empty((_HIST_ROWS, 4), bool)
+        self._scaled = np.empty((_HIST_ROWS, 4))
+        self._lin = np.empty(_HIST_ROWS, np.int64)
 
-    def update(self, block: NDArray[np.float64]) -> "HistogramAccumulator":
+    def update(self, block) -> "HistogramAccumulator":
+        block = _as_block(block)
         nbins = self.binning.bins
         side = nbins + 1
-        for start in range(0, block.shape[0], _CELL):
-            rows = block[start : start + _CELL]
+        for start in range(0, block.shape[0], _HIST_ROWS):
+            rows = block[start : start + _HIST_ROWS]
             m = rows.shape[0]
             idx, inside, lin = self._idx[:m], self._inside[:m], self._lin[:m]
             self.binning.index(rows, out=(idx, inside, self._scaled[:m]))
@@ -260,8 +273,13 @@ class HistogramAccumulator:
             hists[pair] = Histogram2D(pair, edges, edges.copy(), counts, n_total, overflow)
         return hists
 
+    def fold(self) -> tuple[MomentSet, dict[tuple[str, str], Histogram2D]]:
+        """The moments and the six pair histograms, the cells folded once."""
+        hists = self.histograms()
+        return moment_set_from_histograms(hists), hists
+
     def finalize(self) -> MomentSet:
-        return moment_set_from_histograms(self.histograms())
+        return self.fold()[0]
 
 
 def _accumulate(accumulator, records):
@@ -378,10 +396,8 @@ class MomentAccumulator:
         self._fill = 0
         self._ones = np.ones(_CELL)
 
-    def update(self, block: NDArray[np.float64]) -> "MomentAccumulator":
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != 4:
-            raise ValueError("block must be (n, 4)")
+    def update(self, block) -> "MomentAccumulator":
+        block = _as_block(block)
         m = block.shape[0]
         start = min(-self._fill % _CELL, m)  # rows that complete a waiting cell
         self._wait(block[:start])
@@ -424,9 +440,9 @@ class MomentAccumulator:
         self.n += other.n
         return self
 
-    def histograms(self) -> None:
-        """None: moment sums keep no histograms."""
-        return None
+    def fold(self) -> tuple[MomentSet, None]:
+        """The moments, and no histograms: moment sums keep none."""
+        return self.finalize(), None
 
     def finalize(self) -> MomentSet:
         if self.n < 2:
@@ -885,8 +901,8 @@ def estimate_from_blocks(
         accumulator = partial(HistogramAccumulator, binning)
     acc_on, acc_off = accumulator(), accumulator()
     _add_pairs(blocks, acc_on.update, acc_off.update, worker)
-    raw_on = acc_on.finalize()
-    raw_off = acc_off.finalize()
+    raw_on, hists_on = acc_on.fold()
+    raw_off, hists_off = acc_off.fold()
     scales = calibrate(raw_off, n_noise)
     on = apply_scale(raw_on, scales)
     off = apply_scale(raw_off, scales)
@@ -895,8 +911,8 @@ def estimate_from_blocks(
     return EstimationResult(
         tomography=result,
         binning=binning,
-        histograms_on=acc_on.histograms(),
-        histograms_off=acc_off.histograms(),
+        histograms_on=hists_on,
+        histograms_off=hists_off,
         moments_on=on,
         moments_off=off,
     )

@@ -949,5 +949,37 @@ def test_rerun_reproduces_data_files_byte_for_byte(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# SHA-256 of the histogram and Wigner CSVs of the default run at 2e5 records,
+# seed 7: a change of any byte of them is a change of the output format or
+# of the numbers
+_GOLDEN_SEED7 = {
+    "hist_off_p1_p2.csv": "3261c6a2eb982b2af4608440b77e6c9134d3c3c428da46f31811404ef0cba5ec",
+    "hist_off_x1_p1.csv": "a94af3dc4eeef6142323f23e63aaf67e5c38458f67789b3dd0c24a2626ce0c1a",
+    "hist_off_x1_p2.csv": "a3574aaf6b5ad132f2d2bcbc7056ac149ef106176ecfd26534d023c8e7272adb",
+    "hist_off_x1_x2.csv": "f0cd4f970eac020621a61d6f2cda1e7145525f463c121cb963181904829b3836",
+    "hist_off_x2_p1.csv": "f56af4d1675af83e4006730bb5e70d0c293cd6080990a174a41a8ae2bf626f1e",
+    "hist_off_x2_p2.csv": "5a3a544648319105930ba1b92eb6539ec314f0c92e9fdb5ae3b5bc27042adca6",
+    "hist_on_p1_p2.csv": "f66a9c7abc3146c11c87dacdebee4b0d5a3b8c103dad9230f5d89107a4322aec",
+    "hist_on_x1_p1.csv": "361547ee06cdc6aa592c52b57c52212d06c0d6a8370c0be9a81c9ae3a5a13dbb",
+    "hist_on_x1_p2.csv": "466214bf62b87c0adbe0094c4479853ee2605f5b1def7643f0b09c6c34319385",
+    "hist_on_x1_x2.csv": "e87ba1452fe52ee5cf018b4803bcdbec2782e5e75f5eb838a30bfc6add43bde8",
+    "hist_on_x2_p1.csv": "7109469074ba04e1d32c9417bfb18e3dbf7148791b8b49908921e6d7dd2e80a0",
+    "hist_on_x2_p2.csv": "735856b1306abbca524c96ed2fcc4f43f18ea19b0a115c5653697cd65bd927bc",
+    "wigner_x1_p1.csv": "590d784a64db9e987a617eb0bf4a678414c9c67e9a9971f7a95f29b50d95079a",
+    "wigner_x1_p1_ideal.csv": "6801f0d7420ea8d4098de30c7e4fceaecff8f11c0eba2a4d6399262e96879324",
+    "wigner_x1_x2.csv": "f6e68867bfdc3ef7f531ec6571ae38e490eaaea0b83f9b0d485cf9c2aeea0ad0",
+    "wigner_x1_x2_ideal.csv": "d057ad70ece3d52f2615fcfde5e68eac15d11b75f83a2d16435f7390d6876483",
+}
+
+
+def test_default_run_csvs_keep_their_golden_digests(tmp_path):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_records=200_000, seed=7))
+    outputs = run_scenario("tomography", cfg, tmp_path)["outputs"]
+    for name, digest in _GOLDEN_SEED7.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert outputs[name] == digest, name
+
+
 def test_default_run_section_matches_packaged_config():
     assert default_config().run == RunSection(seed=default_config().run.seed)

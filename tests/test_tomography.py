@@ -189,7 +189,7 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
     for row, value in enumerate(edges):
         q[row * 2501, row % 4] = value
         q[row * 2501 + 1] = value
-    monkeypatch.setattr(tomography, "_CELL", sub)
+    monkeypatch.setattr(tomography, "_HIST_ROWS", sub)
     hists = tomography.HistogramAccumulator(binning).update(q).histograms()
 
     idx, inside = binning.index(q)
@@ -221,7 +221,8 @@ def _reference_cells(q, binning):
 
 
 _SUB = 1 << 14
-_KERNEL_BLOCKS = [1, 2, _SUB - 1, _SUB, _SUB + 1]
+_ROWS = tomography._HIST_ROWS
+_KERNEL_BLOCKS = [1, 2, _SUB - 1, _SUB, _SUB + 1, _ROWS - 1, _ROWS, _ROWS + 1]
 
 
 def _edge_records(m, seed):
@@ -246,7 +247,7 @@ def test_buffered_histogram_kernel_equals_the_index_rule(m):
 
 def test_buffered_histogram_kernel_reuses_its_buffers_across_block_lengths():
     # one pass's accumulator takes blocks of every length in turn: each row
-    # block uses a part of the buffers made for one cell
+    # block uses a part of the buffers made for one row block
     binning = Binning(-3.0, 3.0)
     blocks = [_edge_records(m, seed=m)[1] for m in _KERNEL_BLOCKS + _KERNEL_BLOCKS[::-1]]
     acc = tomography.HistogramAccumulator(binning)
@@ -262,6 +263,28 @@ def test_buffered_histogram_kernel_rejects_non_finite_records(bad, m):
     q[m - 1, 2] = bad  # in the last row block
     with pytest.raises(NonFiniteRecordError):
         tomography.HistogramAccumulator(binning).update(q)
+
+
+def test_histogram_index_buffers_hold_a_quarter_cell():
+    acc = tomography.HistogramAccumulator(Binning(-3.0, 3.0))
+    held = sum(getattr(acc, name).nbytes for name in ("_idx", "_inside", "_scaled", "_lin"))
+    assert held <= 384 << 10
+
+
+@pytest.mark.parametrize(
+    "make",
+    [MomentAccumulator, lambda: tomography.HistogramAccumulator(Binning(-1.0, 1.0))],
+    ids=["moments", "histograms"],
+)
+def test_accumulators_check_their_blocks_alike(make):
+    for bad in (np.zeros((5, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match=r"block must be \(n, 4\)"):
+            make().update(bad)
+    # a list of rows is read as the array it spells
+    got = make().update([[0.0] * 4] * 3).finalize()
+    want = make().update(np.zeros((3, 4))).finalize()
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+    assert got.n == want.n == 3
 
 
 def test_far_out_of_range_values_are_overflow_without_a_warning():
@@ -831,6 +854,21 @@ def test_wigner_marginal_csv(tmp_path):
     assert not np.array_equal(m.measured, m.ideal)
 
 
+def test_wigner_csv_is_written_one_x_row_at_a_time(tmp_path):
+    res = reconstruct(tms_theory_covariance(1.78).cov)
+    m = wigner_marginals(res.v, res.r_fit, WignerGrid())["x1_x2"]
+    path = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        cli._write_wigner_csv(path, m, m.measured)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 101 x 101 file is about 0.4 MB; one x row's 101 lines about 4 KB
+    assert path.stat().st_size > 300_000
+    assert peak < 256 << 10
+
+
 # ---------------------------------------------------------------------------
 # end-to-end estimation
 
@@ -985,6 +1023,26 @@ def test_unmatched_recipe_pair_draws_each_side(monkeypatch, draws, method, diffe
     assert threading.active_count() == caller
 
 
+@pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
+def test_an_estimate_folds_each_settings_cells_once(monkeypatch):
+    histograms = tomography.HistogramAccumulator.histograms
+    folded = []
+
+    def counted(self):
+        folded.append(self)
+        return histograms(self)
+
+    monkeypatch.setattr(tomography.HistogramAccumulator, "histograms", counted)
+    state = tms_theory_covariance(1.0, 0.0)
+    est = estimate_state(
+        measure(state, _LOW_NOISE, 40_000, seed=3),
+        measure(state, _LOW_NOISE, 40_000, seed=3, pump_on=False),
+        _LOW_NOISE.noise_pair,
+    )
+    assert len(folded) == 2 and folded[0] is not folded[1]
+    assert est.histograms_on is not est.histograms_off
+
+
 def test_failed_recipe_estimate_joins_the_draw_worker(monkeypatch):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", _SMALL_CHUNK)
     state = tms_theory_covariance(1.0, 0.0)
@@ -1077,9 +1135,9 @@ def test_moment_merge_on_cell_boundaries_equals_one_pass():
 @pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
 def test_histogram_estimate_traced_peak_is_a_few_cells_whatever_the_length():
     # a pass holds its draw workspace, two block pairs and each setting's
-    # cells and index buffers, 7.6 MiB in all (15.3 MiB with 2^16-record
-    # blocks); thread timing decides whether the worker still holds block
-    # k's pump-off block when block k + 1's pair is made, one 1 MiB pair
+    # cells and index buffers, 5.8 MiB in all; thread timing decides whether
+    # the worker still holds block k's pump-off block when block k + 1's pair
+    # is made, one 1 MiB pair
     state = tms_theory_covariance(1.78, 0.0)
     cfg = DetectionConfig()
     peaks = {}
