@@ -120,8 +120,8 @@ def _write_wigner_csv(path, marginal, density) -> str:
     ys = [repr(y) for y in marginal.y.tolist()]
     header = f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"
     rows = (
-        "".join(f"{x!r},{y},{d!r}\r\n" for y, d in zip(ys, row.tolist()))
-        for x, row in zip(marginal.x.tolist(), density)
+        "".join(f"{x},{y},{d!r}\r\n" for y, d in zip(ys, row.tolist()))
+        for x, row in zip(map(repr, marginal.x.tolist()), density)
     )
     return _write_chunks(path, chain([header], rows))
 

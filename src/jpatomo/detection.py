@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import operator
 import os
-import sys
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -37,10 +36,10 @@ FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 _NORMALIZATION_TOL = 1e-10
 # Records per block of every record read (RecordBatch._read, _paired_blocks)
 # and, as tomography._CELL, per cell of the tomography accumulators: a
-# block's temporaries stay in L2 cache.  A pass holds its draw workspace (z
-# and two aux slots, 512 KiB each) and at most two pump-on/pump-off block
-# pairs (1 MiB each), 3.5 MiB in all, each array below numpy's 4 MiB
-# huge-page threshold.  No result depends on it (see _record_blocks).
+# block's temporaries stay in L2 cache.  A pass draws into one slab of
+# 512 KiB planes: z, two aux slots and a ring of two block tuples, 3.5 MiB
+# for a pump-on/pump-off pass, below numpy's 4 MiB huge-page threshold.  No
+# result depends on it (see _record_blocks).
 _MEASURE_CHUNK = 1 << 14
 # Rows per period of a tiled per-column vector (see _columnwise).
 _TILE_ROWS = 1 << 8
@@ -264,8 +263,9 @@ class RecordBatch:
 
     The columns are the measured quadratures (X1, P1, X2, P2), i.e.
     (Re s1, Im s1, Re s2, Im s2).  The complex channel samples `s1` and `s2`
-    are views of the store, and `quadratures()` and `chunks()` return the
-    store or slices of it; all of them are read-only.
+    are views of the store, `quadratures()` returns the store and `chunks()`
+    slices of it, or copies of an unread recipe's blocks, so a caller may
+    keep them; all of them are read-only.
 
     A batch from `measure` is a recipe: it draws nothing until it is read,
     and `len()` reads nothing.  Every read goes through `_read`: an unread
@@ -333,13 +333,14 @@ class RecordBatch:
         return self._store.shape[0] if self._recipe is None else self._recipe.n
 
     def _read(
-        self, worker: Executor | None = None, size: int | None = None
+        self, worker: Executor | None = None, size: int | None = None, keep: bool = False
     ) -> Iterator[NDArray[np.float64]]:
         """Read-only blocks of at most `size` records (default _MEASURE_CHUNK).
 
         An unread recipe at the default size is drawn one block at a time by
         a record pass on `worker` (a one-thread executor; None: one of the
-        pass's own); anything else is sliced from the store.
+        pass's own), whose blocks are lent (see _record_blocks) unless `keep`
+        asks for copies; anything else is sliced from the store.
         """
         if self._store is None and size in (None, _MEASURE_CHUNK):
             source, config, n, seed = self._recipe
@@ -347,6 +348,8 @@ class RecordBatch:
                 _record_blocks((source,), config, n, seed, worker=worker)
             ) as blocks:
                 for (block,) in blocks:
+                    if keep:
+                        block = block.copy()
                     block.setflags(write=False)
                     yield block
             return
@@ -375,13 +378,15 @@ class RecordBatch:
         """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK).
 
         `size` must be an integer >= 1 (ValueError otherwise); it is checked
-        before anything is drawn.
+        before anything is drawn.  Every block holds its records for good:
+        a block drawn from an unread recipe is a copy of the pass's lent
+        block, so `list(chunks())` holds all the records.
         """
         if size is not None:
             size = operator.index(size)
             if size < 1:
                 raise ValueError(f"chunk size must be >= 1, got {size}")
-        return self._read(size=size)
+        return self._read(size=size, keep=True)
 
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
@@ -456,6 +461,12 @@ def _record_blocks(
     whose columns are (Re S1, Im S1, Re S2, Im S2).  Only `RecordBatch._read`
     and `_paired_blocks` start a pass.
 
+    The blocks are lent.  A pass makes one slab, which holds z, two aux
+    slots and a ring of two block tuples, and allocates nothing per block;
+    block k is built into ring slot k % 2, so it keeps its records until the
+    consumer asks for block k + 2.  A consumer that keeps a block longer
+    copies it (`RecordBatch.chunks`, `tomography._binning_from_head`).
+
     `worker` is an executor with one thread, which runs its tasks in
     submission order (FIFO); without one the pass owns such a worker and
     joins it when it finishes or is closed.  The worker draws every block's
@@ -487,35 +498,14 @@ def _record_blocks(
         for channel in (0, 1)
     )
 
-    # The pass allocates its draw workspace (z and two aux slots) once, and
-    # every block pair at one size: a short last block is a leading view of
-    # `rows` rows.  glibc malloc hands back a freed chunk of the same size,
-    # but a chunk of a new size gets fresh pages that fault in again.
+    # planes of `rows` rows: z, the aux slots, then the ring; a short last
+    # block is a leading view
     rows = min(n, _MEASURE_CHUNK)
-    work = np.empty((3, rows, 4))
-    # A block pair is drawn into again once no view of it is held anywhere:
-    # every view of a pair, however derived, references the pair itself, so
-    # its reference count counts them.  A consumer that keeps its blocks gets
-    # a new pair per block; one that lets them go, as the accumulators do,
-    # cycles through two, and the heap top is not trimmed and faulted in
-    # again under them (about 50k minor faults in a 10^7-record pass).
-    pairs, unviewed = [], None
-
-    def free_pair():
-        nonlocal unviewed
-        for pair in pairs:
-            if sys.getrefcount(pair) == unviewed:
-                return pair
-        pair = np.empty((len(sources), rows, 4))
-        if len(pairs) < 2:
-            pairs.append(pair)
-            # the count of a pair that only `pairs` and `pair` hold, taken
-            # as the loop above takes it
-            unviewed = sys.getrefcount(pair)
-        return pair
+    slab = np.empty((3 + 2 * len(sources), rows, 4))
+    ring = slab[3:].reshape(2, len(sources), rows, 4)
 
     def noise(k: int, step: int):
-        aux = rng_noise.standard_normal(out=work[1 + k % 2, :step])
+        aux = rng_noise.standard_normal(out=slab[1 + k % 2, :step])
         _columnwise(np.multiply, aux, noise_sd)
         return aux
 
@@ -532,10 +522,9 @@ def _record_blocks(
         try:
             for k, start in enumerate(range(0, n, _MEASURE_CHUNK)):
                 step = min(_MEASURE_CHUNK, n - start)
-                z = rng_sig.standard_normal(out=work[0, :step])
+                z = rng_sig.standard_normal(out=slab[0, :step])
                 aux = pending.result()
-                # one allocation for all sources' blocks
-                blocks = list(free_pair()[:, :step])
+                blocks = tuple(ring[k % 2, :, :step])
                 # the worker builds the second source's block while this
                 # thread builds the first, then draws block k + 1's aux into
                 # the other slot
@@ -544,14 +533,10 @@ def _record_blocks(
                     for block, chol, mean in zip(blocks[1:], chols[1:], means[1:])
                 ]
                 pending = next_noise(k + 1)
-                try:
-                    _build_block(blocks[0], z, aux, chols[0], means[0], gains)
-                finally:
-                    wait(builds)  # the worker writes into these blocks
+                _build_block(blocks[0], z, aux, chols[0], means[0], gains)
                 for build in builds:
                     build.result()
-                yield tuple(blocks)
-                del blocks  # block k's pair is not kept while k + 1 is drawn
+                yield blocks
         finally:
             # closed after block k: block k + 1's aux is not drawn unless its
             # draw has started

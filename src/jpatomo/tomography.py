@@ -130,7 +130,7 @@ def auto_binning(
 
     Only the blocks that hold the prefix are read.
     """
-    with contextlib.closing(batch.chunks()) as blocks:
+    with contextlib.closing(batch._read()) as blocks:
         binning, _ = _binning_from_head(zip(blocks), bins, sigmas, prefix_records)
     return binning
 
@@ -338,6 +338,13 @@ def moments_from_histogram(h: Histogram2D) -> HistogramMoments:
 # moment sets
 
 
+def _exceeds_cauchy_schwarz(cov: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """Where |cov_ab| > sqrt(cov_aa cov_bb), past rounding, for variances
+    that are >= 0."""
+    sd = np.sqrt(np.diag(cov))  # not sqrt(var var^T), which overflows past 1e154
+    return np.abs(cov) > np.outer(sd, sd) * (1.0 + 1e-9) + 1e-12
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """First and second moments of the four measured quadratures."""
@@ -354,12 +361,9 @@ class MomentSet:
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InvalidCovarianceError("moments must be finite")
         cov = 0.5 * (cov + cov.T)
-        var = np.diag(cov)
-        if np.any(var < 0.0):
+        if np.any(np.diag(cov) < 0.0):
             raise InvalidCovarianceError("variances must be non-negative")
-        sd = np.sqrt(var)  # not sqrt(var var^T), which overflows past 1e154
-        bound = np.outer(sd, sd)
-        if np.any(np.abs(cov) > bound * (1.0 + 1e-9) + 1e-12):
+        if np.any(_exceeds_cauchy_schwarz(cov)):
             raise InvalidCovarianceError("covariances violate Cauchy-Schwarz")
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -494,6 +498,16 @@ def moment_set_from_histograms(
     mean /= hits
     for k in range(4):
         cov[k, k] /= hits[k]
+    # a pair histogram of few records has a rank-1 uncorrected 2x2, which
+    # Sheppard's -w^2/12 leaves with variances below the covariance
+    excess = _exceeds_cauchy_schwarz(cov)
+    for x, y in PAIR_LABELS:
+        if excess[_AXIS_INDEX[x], _AXIS_INDEX[y]]:
+            h = table[(x, y)]
+            raise DegenerateReferenceError(
+                f"histogram {x}-{y} holds {h.n_total - h.overflow} in-range records, too "
+                "few to resolve: its covariance exceeds the Sheppard-corrected variances"
+            )
     n = max(h.n_total for h in table.values())
     return MomentSet(mean, cov, n)
 
@@ -819,7 +833,11 @@ def estimate_state(
 def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
     """Binning from the first `prefix_records` pump-on records (the first
     block of each tuple), and an iterator over all block tuples (the
-    buffered head first, released as it is consumed)."""
+    buffered head first).
+
+    The blocks may be lent (see detection._record_blocks), so head tuple
+    j - 2 is copied before tuple j is pulled: a prefix within the first two
+    blocks copies nothing."""
     head = []
     n_head = 0
     for on_off in blocks:
@@ -827,6 +845,8 @@ def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
         n_head += on_off[0].shape[0]
         if n_head >= prefix_records:
             break
+        if len(head) >= 2:
+            head[-2] = tuple(block.copy() for block in head[-2])
     m = max(min(n_head, prefix_records), 0)
     prefix = np.concatenate([on_off[0][:m] for on_off in head] + [np.empty((0, 4))])
     return _prefix_binning(prefix[:m], bins, sigmas), chain(iter(head), blocks)
@@ -842,8 +862,10 @@ def _add_pairs(blocks, add_on, add_off, worker: Executor | None) -> None:
     `_record_blocks` pass on the same worker has queued the next block's aux
     draw before the pair arrives and queues the next block's pump-off build
     behind add_off(off), so the worker adds the block between those two and
-    the check never waits.  Leaving, on success or failure, waits for the
-    last add_off; a failure of add_on is raised over it.
+    the check never waits.  Pair k is checked before pair k + 2, which the
+    pass builds into pair k's lent blocks, is drawn.  Leaving, on success or
+    failure, waits for the last add_off; a failure of add_on is raised over
+    it.
     """
     pending = None
     with contextlib.ExitStack() as stack:
@@ -855,7 +877,6 @@ def _add_pairs(blocks, add_on, add_off, worker: Executor | None) -> None:
                     pending.result()
                 pending = worker.submit(add_off, off)
                 add_on(on)
-                del on, off  # the worker frees the pump-off block once it is added
         finally:
             if pending is not None:
                 wait([pending])
@@ -880,7 +901,8 @@ def estimate_from_blocks(
     (the export path), binned by the auto_binning rule on the first
     `prefix_records` pump-on records; "streaming" accumulates exact moments
     directly.  Both calibrate on the pump-off records, subtract them, and
-    fit.  Memory is two block pairs plus the blocks the prefix spans.
+    fit.  Memory is the pass's slab (see detection._record_blocks) plus
+    copies of all but the last two blocks the prefix spans.
 
     `worker` is an executor with one thread that runs its tasks in order,
     shared with the `_record_blocks` pass that draws `blocks` (None: the

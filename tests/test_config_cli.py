@@ -899,6 +899,19 @@ def test_cli_too_few_records_returns_3(tmp_path, capsys, method, records):
     assert "need at least 2 records" in capsys.readouterr().err
 
 
+def test_cli_two_record_histogram_run_is_unresolved_not_unphysical(tmp_path, capsys):
+    # each pair histogram of two records has a rank-1 2x2, which Sheppard's
+    # correction leaves with variances below the covariance
+    cfg_path = tmp_path / "cfg.json"
+    save_config(small_run(method="histogram"), cfg_path)
+    code = main(["--config", str(cfg_path), "--records", "2", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert (
+        "numerical failure: histogram X1-P1 holds 2 in-range records, too few to "
+        "resolve: its covariance exceeds the Sheppard-corrected variances"
+    ) in capsys.readouterr().err
+
+
 def _script_main(name):
     path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -977,6 +990,35 @@ def test_default_run_csvs_keep_their_golden_digests(tmp_path):
     cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, n_records=200_000, seed=7))
     outputs = run_scenario("tomography", cfg, tmp_path)["outputs"]
     for name, digest in _GOLDEN_SEED7.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert outputs[name] == digest, name
+
+
+# SHA-256 of the streaming estimate of the same records and of the default
+# psd run: the moment path and the fit, which no histogram CSV pins
+_GOLDEN_STREAMING_SEED7 = {
+    "covariance.json": "a7689c4476ddb0a75b4dad508e25ae901d067d80c555f889132ec0571d07c2e7",
+}
+_GOLDEN_PSD = {
+    "psd.csv": "7e3121f108c47da2e06e9a377a80fa7c908d7f8352426896c3ed94e6a9f8e42b",
+    "psd_fit.json": "850f97e5b89bcd53a61316fa0291b036a5ffa505200c26027d6e4015fbc3b61e",
+}
+
+
+@pytest.mark.parametrize(
+    ("scenario", "run", "golden"),
+    [
+        ("tomography", {"n_records": 200_000, "seed": 7, "method": "streaming"},
+         _GOLDEN_STREAMING_SEED7),
+        ("psd", {}, _GOLDEN_PSD),
+    ],
+    ids=["streaming", "psd"],
+)
+def test_streaming_and_psd_runs_keep_their_golden_digests(tmp_path, scenario, run, golden):
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, **run))
+    outputs = run_scenario(scenario, cfg, tmp_path)["outputs"]
+    for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
         assert outputs[name] == digest, name
 

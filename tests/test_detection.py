@@ -420,7 +420,11 @@ def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, chunk, see
     n = 3 * chunk + 7
     sources = (state, vacuum_state(2))
     want = [_whole_chunk_records(s, cfg, n, seed, n) for s in sources]
-    blocks = list(detection._record_blocks(sources, cfg, n, seed))
+    # the pass lends its blocks: a list keeps copies
+    blocks = [
+        tuple(b.copy() for b in pair)
+        for pair in detection._record_blocks(sources, cfg, n, seed)
+    ]
     assert [on.shape[0] for on, _ in blocks] == [chunk] * (n // chunk) + [n % chunk]
     for got, ref in zip(zip(*blocks), want):
         assert (np.concatenate(got) == ref).all()
@@ -474,7 +478,10 @@ def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, se
     n = 3 * chunk + 7
     sources = (state, vacuum_state(2))
     want = [_whole_chunk_records(s, cfg, n, seed, chunk) for s in sources]
-    blocks = list(detection._record_blocks(sources, cfg, n, seed))
+    blocks = [
+        tuple(b.copy() for b in pair)
+        for pair in detection._record_blocks(sources, cfg, n, seed)
+    ]
     assert [on.shape[0] for on, _ in blocks] == [chunk, chunk, chunk, 7]
     for got, ref in zip(zip(*blocks), want):
         assert (np.concatenate(got) == ref).all()
@@ -482,8 +489,8 @@ def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, se
 
 @pytest.mark.parametrize("n", [3 * 4096 + 7, 100])
 def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
-    # z and the two aux slots are one allocation per pass; a short last block
-    # is a leading view of a full-size block pair
+    # z, the two aux slots and the ring of two block pairs are one slab per
+    # pass; a short last block is a leading view of a full-size ring slot
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
@@ -506,9 +513,9 @@ def test_every_allocation_of_a_pass_has_one_size(monkeypatch, n):
     blocks = list(detection._record_blocks(sources, cfg, n, 5))
     assert len(workspaces) == 2 * len(blocks)  # a z and an aux per block
     assert all(w is workspaces[0] for w in workspaces)
-    assert workspaces[0].shape == (3, rows, 4)
+    assert workspaces[0].shape == (7, rows, 4)
     for pair in blocks:
-        assert all(block.base.shape == (2, rows, 4) for block in pair)
+        assert all(block.base is workspaces[0] for block in pair)
     for last, ref in zip(blocks[-1], want):
         assert last.shape[0] == n - tail
         assert (last == ref[tail:]).all()
@@ -537,11 +544,14 @@ def test_every_array_of_a_default_pass_is_below_the_huge_page_threshold(monkeypa
     assert max(pairs + workspaces) < 4 << 20
 
 
-def test_a_pass_reuses_a_block_pair_only_once_no_block_of_it_is_held(monkeypatch):
+@pytest.mark.parametrize("n_sources", [1, 2])
+def test_a_pass_draws_into_one_slab_and_lends_each_block_until_the_one_after_next(
+    monkeypatch, n_sources
+):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0)
-    sources = (state, vacuum_state(2))
+    sources = (state, vacuum_state(2))[:n_sources]
     n = 10 * 4096 + 7
     want = [_whole_chunk_records(s, cfg, n, 5, 4096) for s in sources]
     made = []
@@ -552,17 +562,18 @@ def test_a_pass_reuses_a_block_pair_only_once_no_block_of_it_is_held(monkeypatch
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", counted)
-    # each pair is let go once the next one is read: two serve the pass
+    taken = []
     for k, pair in enumerate(detection._record_blocks(sources, cfg, n, 5)):
-        for block, ref in zip(pair, want):
-            assert (block == ref[k * 4096 : (k + 1) * 4096]).all()
-    assert made.count((2, 4096, 4)) == 2
-    # every block kept: a pair of its own each, holding its records
-    del made[:]
-    kept = list(detection._record_blocks(sources, cfg, n, 5))
-    assert made.count((2, 4096, 4)) == len(kept) == 11
-    for got, ref in zip(zip(*kept), want):
-        assert (np.concatenate(got) == ref).all()
+        taken.append(pair)
+        # block k - 1 still holds its records now that block k is taken
+        for j in range(max(k - 1, 0), k + 1):
+            for block, ref in zip(taken[j], want):
+                assert (block == ref[j * 4096 : (j + 1) * 4096]).all()
+        if k >= 2:  # drawn into block k - 2's memory
+            assert all(map(np.shares_memory, pair, taken[k - 2]))
+    assert len(taken) == 11
+    # one slab per pass, nothing per block
+    assert made == [(3 + 2 * n_sources, 4096, 4)]
 
 
 def test_closing_the_engine_after_block_k_draws_nothing_past_block_k_plus_1(monkeypatch):

@@ -977,6 +977,17 @@ def test_fused_pair_deconvolution_equals_reading_each_setting(draws, seed):
     assert (deconvolve(est.moments_on, est.moments_off) == want).all()
 
 
+def test_two_record_histogram_estimate_names_the_unresolved_pair():
+    state = two_mode_squeeze(vacuum_state(2), 1.0)
+    det = DetectionConfig()
+    on = measure(state, det, 2, seed=3)
+    off = measure(state, det, 2, seed=3, pump_on=False)
+    with pytest.raises(
+        DegenerateReferenceError, match=r"^histogram X1-P1 holds 2 in-range records, too few"
+    ):
+        estimate_state(on, off, det.noise_pair, method="histogram")
+
+
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
 @pytest.mark.parametrize("differ", ["seed", "n", "config", "read"])
 def test_unmatched_recipe_pair_draws_each_side(monkeypatch, draws, method, differ):
