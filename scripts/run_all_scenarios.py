@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every scenario from the packaged defaults into one output tree.
+"""Run every scenario from the default configuration into one output tree.
 
 Each scenario lands in <out>/<scenario>/ with its own manifest.json.  Pass
 --records to shrink the tomography run for a quick look.  Each scenario runs

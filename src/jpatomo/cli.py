@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import sys
@@ -55,75 +53,74 @@ _PSD_NOISE_KEY = 1_000_003
 
 class _Outputs:
     """The files a scenario writes into `directory`: name -> SHA-256 of the
-    bytes written, as each writer returns it."""
+    bytes written, listed once the file has closed whole."""
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
         self.digests: dict[str, str] = {}
 
-    def write(self, name: str, writer, *args) -> None:
-        """writer(directory / name, *args), which returns the digest."""
-        self.digests[name] = writer(self.directory / name, *args)
+    @contextlib.contextmanager
+    def open(self, name: str):
+        """Open directory / name and yield append(data), which writes the
+        bytes-like `data` as it is and hashes it.  The digest is listed when
+        the block leaves without an exception."""
+        digest = hashlib.sha256()
+        with open(self.directory / name, "wb") as fh:
+
+            def append(data) -> None:
+                fh.write(data)
+                digest.update(data)
+
+            yield append
+        self.digests[name] = digest.hexdigest()
+
+    def write(self, name: str, chunks) -> None:
+        """The strings of `chunks` written one after the other, as they are
+        (no newline translation)."""
+        with self.open(name) as append:
+            for chunk in chunks:
+                append(chunk.encode())
 
 
-def _write_chunks(path, chunks) -> str:
-    """Write the strings of `chunks` to `path` one after the other, as they
-    are (no newline translation), and return the SHA-256 hex digest of the
-    bytes written."""
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in chunks:
-            data = chunk.encode()
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
-
-
-def _write_text(path, text: str) -> str:
-    """`text` written as one chunk (see _write_chunks)."""
-    return _write_chunks(path, (text,))
-
-
-def _write_csv(path, header, columns) -> str:
+def _write_csv(out: _Outputs, name: str, header, columns) -> None:
     """A header row, then one row of float reprs per index of the
     equal-length `columns`: the csv module's excel dialect, written as one
     string (a float repr holds no delimiter or quote, so no field is
-    quoted).  Returns the file's SHA-256."""
+    quoted)."""
     lines = [",".join(header) + "\r\n"]
     lines.extend(
         ",".join(map(repr, row)) + "\r\n" for row in np.column_stack(columns).tolist()
     )
-    return _write_text(path, "".join(lines))
+    out.write(name, ["".join(lines)])
 
 
-def _write_histogram_csv(path, hist) -> str:
+def _write_histogram_csv(out: _Outputs, name: str, hist) -> None:
     """Rows axis_x, axis_y, n_total, overflow, then the edges_x and edges_y
-    rows of float reprs, then one row of counts per x bin, through the csv
-    module; returns the file's SHA-256."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(("axis_x", hist.labels[0]))
-    writer.writerow(("axis_y", hist.labels[1]))
-    writer.writerow(("n_total", hist.n_total))
-    writer.writerow(("overflow", hist.overflow))
-    writer.writerow(["edges_x"] + [repr(e) for e in hist.edges_x.tolist()])
-    writer.writerow(["edges_y"] + [repr(e) for e in hist.edges_y.tolist()])
-    writer.writerows(hist.counts.tolist())
-    return _write_text(path, text.getvalue())
+    rows of float reprs, then one row of counts per x bin: the csv module's
+    excel dialect (no field needs quoting), written as one string."""
+    lines = [
+        f"axis_x,{hist.labels[0]}\r\n",
+        f"axis_y,{hist.labels[1]}\r\n",
+        f"n_total,{hist.n_total}\r\n",
+        f"overflow,{hist.overflow}\r\n",
+        ",".join(["edges_x", *map(repr, hist.edges_x.tolist())]) + "\r\n",
+        ",".join(["edges_y", *map(repr, hist.edges_y.tolist())]) + "\r\n",
+    ]
+    lines.extend(",".join(map(str, row)) + "\r\n" for row in hist.counts.tolist())
+    out.write(name, ["".join(lines)])
 
 
-def _write_wigner_csv(path, marginal, density) -> str:
+def _write_wigner_csv(out: _Outputs, name: str, marginal, density) -> None:
     """Header `<x label>,<y label>,density` in lower case, then one
     `x,y,density` row of float reprs per grid point, x-major: the csv
-    module's excel dialect, written one x value's rows at a time.  Returns
-    the file's SHA-256."""
+    module's excel dialect, written one x value's rows at a time."""
     ys = [repr(y) for y in marginal.y.tolist()]
     header = f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"
     rows = (
         "".join(f"{x},{y},{d!r}\r\n" for y, d in zip(ys, row.tolist()))
         for x, row in zip(map(repr, marginal.x.tolist()), density)
     )
-    return _write_chunks(path, chain([header], rows))
+    out.write(name, chain([header], rows))
 
 
 def _covariance_payload(result) -> dict:
@@ -155,11 +152,10 @@ def _json_ready(value):
     return value
 
 
-def _write_json(path, payload) -> str:
-    """Strict JSON: a non-finite float is written as null, never as NaN.
-    Returns the file's SHA-256."""
+def _write_json(out: _Outputs, name: str, payload) -> None:
+    """Strict JSON: a non-finite float is written as null, never as NaN."""
     text = json.dumps(_json_ready(payload), indent=2, sort_keys=True, allow_nan=False)
-    return _write_text(path, text + "\n")
+    out.write(name, [text + "\n"])
 
 
 def _run_flux_sweep(cfg: ExperimentConfig, out: _Outputs) -> dict:
@@ -168,7 +164,7 @@ def _run_flux_sweep(cfg: ExperimentConfig, out: _Outputs) -> dict:
     phi = np.linspace(run.flux_min, run.flux_max, run.flux_points)
     omega_r = resonance_frequency(phi, device)
     freq_hz = omega_r / TWO_PI
-    out.write("flux_sweep.csv", _write_csv, ("phi", "omega_r_hz"), (phi, freq_hz))
+    _write_csv(out, "flux_sweep.csv", ("phi", "omega_r_hz"), (phi, freq_hz))
     return {
         "phi_min": float(phi[0]),
         "phi_max": float(phi[-1]),
@@ -186,9 +182,9 @@ def _run_reflection(cfg: ExperimentConfig, out: _Outputs) -> dict:
     delta = np.linspace(-span / 2, span / 2, run.reflection_points)
     omega_r = resonance_frequency(0.0, device)
     gamma = reflection(omega_r + delta, device)
-    out.write(
+    _write_csv(
+        out,
         "reflection.csv",
-        _write_csv,
         ("delta_hz", "re", "im", "abs"),
         (delta / TWO_PI, gamma.real, gamma.imag, np.abs(gamma)),
     )
@@ -225,7 +221,7 @@ def _run_gain_map(cfg: ExperimentConfig, out: _Outputs) -> dict:
         np.tile(delta / TWO_PI, powers.size),
         np.concatenate(gains),
     )
-    out.write("gain_map.csv", _write_csv, ("power_dbm", "delta_hz", "gain"), columns)
+    _write_csv(out, "gain_map.csv", ("power_dbm", "delta_hz", "gain"), columns)
     return {
         "powers_dbm": [float(p) for p in run.gain_map_powers_dbm],
         "points_per_power": int(delta.size),
@@ -258,9 +254,9 @@ def _run_psd(cfg: ExperimentConfig, out: _Outputs) -> dict:
         s_fit = np.full_like(delta, fit.n_noise)
     else:
         s_fit = (fit.g0 - 1.0) / (1.0 + (2.0 * delta / fit.bandwidth) ** 2) + fit.n_noise
-    out.write(
+    _write_csv(
+        out,
         "psd.csv",
-        _write_csv,
         ("delta_hz", "s_true", "s_noisy", "s_fit"),
         (delta / TWO_PI, s_true, s_noisy, s_fit),
     )
@@ -276,7 +272,7 @@ def _run_psd(cfg: ExperimentConfig, out: _Outputs) -> dict:
         "true_n_noise": float(cfg.detection.n_noise),
         "noise_sigma": float(run.psd_noise_sigma),
     }
-    out.write("psd_fit.json", _write_json, fit_payload)
+    _write_json(out, "psd_fit.json", fit_payload)
     return fit_payload
 
 
@@ -289,20 +285,15 @@ def _saved_blocks(blocks, out: _Outputs):
     records_on.bin / records_off.bin (little-endian float64, record-major,
     columns X1, P1, X2, P2), whose digests go to `out` once the last pair
     has passed.  Closing it closes `blocks` too."""
-    names = ("records_on.bin", "records_off.bin")
-    hashes = [hashlib.sha256(), hashlib.sha256()]
     with (
         contextlib.closing(blocks),
-        open(out.directory / names[0], "wb") as fh_on,
-        open(out.directory / names[1], "wb") as fh_off,
+        out.open("records_on.bin") as append_on,
+        out.open("records_off.bin") as append_off,
     ):
         for pair in blocks:
-            for block, fh, digest in zip(pair, (fh_on, fh_off), hashes):
-                data = block.astype("<f8", copy=False)
-                data.tofile(fh)
-                digest.update(data)
+            for block, append in zip(pair, (append_on, append_off)):
+                append(block.astype("<f8", copy=False))
             yield pair
-    out.digests.update(zip(names, (digest.hexdigest() for digest in hashes)))
 
 
 def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
@@ -338,7 +329,7 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
             )
     result = est.tomography
     payload = _covariance_payload(result)
-    out.write("covariance.json", _write_json, payload)
+    _write_json(out, "covariance.json", payload)
 
     if est.histograms_on is not None:
         envelope = {
@@ -353,19 +344,19 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
             for pair, hist in hists.items():
                 key = _pair_key(pair)
                 fname = f"hist_{setting}_{key}.csv"
-                out.write(fname, _write_histogram_csv, hist)
+                _write_histogram_csv(out, fname, hist)
                 envelope[f"pump_{setting}"][key] = {
                     "file": fname,
                     "labels": list(pair),
                     "n_total": int(hist.n_total),
                     "overflow": int(hist.overflow),
                 }
-        out.write("histograms.json", _write_json, envelope)
+        _write_json(out, "histograms.json", envelope)
 
     grid = WignerGrid(extent=run.wigner_extent, points=run.wigner_points)
     for name, marginal in wigner_marginals(result.v, result.r_fit, grid).items():
-        out.write(f"wigner_{name}.csv", _write_wigner_csv, marginal, marginal.measured)
-        out.write(f"wigner_{name}_ideal.csv", _write_wigner_csv, marginal, marginal.ideal)
+        _write_wigner_csv(out, f"wigner_{name}.csv", marginal, marginal.measured)
+        _write_wigner_csv(out, f"wigner_{name}_ideal.csv", marginal, marginal.ideal)
 
     fits = {key: value for key, value in payload.items() if key not in ("v", "n_records")}
     return {
@@ -392,7 +383,7 @@ def run_scenario(name: str, config: ExperimentConfig, out_dir) -> dict:
         raise ConfigError(f"unknown scenario {name!r}; choose from {list(SCENARIOS)}")
     out = _Outputs(Path(out_dir))
     out.directory.mkdir(parents=True, exist_ok=True)
-    out.write("config.json", _write_text, dumps_config(config))
+    out.write("config.json", [dumps_config(config)])
     started = time.perf_counter()
     results = _RUNNERS[name](config, out)
     elapsed = time.perf_counter() - started
@@ -406,10 +397,11 @@ def run_scenario(name: str, config: ExperimentConfig, out_dir) -> dict:
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "wall_clock_s": elapsed,
+        # a copy taken before manifest.json is written: every file but itself
         "outputs": dict(sorted(out.digests.items())),
         "results": results,
     }
-    _write_json(out.directory / "manifest.json", manifest)
+    _write_json(out, "manifest.json", manifest)
     return manifest
 
 
@@ -419,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a flux-pumped parametric amplifier chain and "
         "reconstruct the two-mode output state.",
     )
-    parser.add_argument("--config", help="JSON config file (defaults to the packaged one)")
+    parser.add_argument("--config", help="JSON config file (default: the field defaults)")
     parser.add_argument("--out", default="out", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--records", type=int, help="override run.n_records")
@@ -452,6 +444,13 @@ def main(argv=None) -> int:
         manifest = run_scenario(args.scenario, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # records stream, so every array that grows is sized by a config value
+        print(
+            f"config error: the configuration does not fit in memory ({exc})",
+            file=sys.stderr,
+        )
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

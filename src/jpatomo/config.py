@@ -13,7 +13,6 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 import numpy as np
 
@@ -224,7 +223,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
     body = dict(data)
     version = body.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # True == 1.0 == 1: only the integer itself names the schema
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
@@ -245,10 +245,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             for name, value in raw.items()
             if name in known
         }
-        try:
-            sections[section] = cls(**kwargs)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
+        sections[section] = cls(**kwargs)
     cfg = ExperimentConfig(**sections)
     _validate(cfg)
     return cfg
@@ -276,6 +273,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         (run.reflection_points >= 2, "run.reflection_points must be >= 2"),
         (run.gain_span_hz > 0, "run.gain_span_hz must be > 0"),
         (run.gain_points >= 2, "run.gain_points must be >= 2"),
+        (
+            cfg.pump.anchor_power_dbm < cfg.pump.critical_power_dbm,
+            "pump.anchor_power_dbm must be below pump.critical_power_dbm",
+        ),
     ]
     for ok, message in checks:
         if not ok:
@@ -287,8 +288,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         cfg.pump.build_anchor()
         cfg.detection.build()
         cfg.filter.build()
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -326,6 +325,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def default_config() -> ExperimentConfig:
-    """The packaged configuration every scenario can run from unmodified."""
-    text = resources.files("jpatomo").joinpath("configs/default.json").read_text()
-    return parse_config(json.loads(text))
+    """The configuration every scenario can run from unmodified: each field
+    at its section's default."""
+    return parse_config({})

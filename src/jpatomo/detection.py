@@ -184,8 +184,6 @@ def output_two_mode_state(
     if input_thermal < 0:
         raise ValueError("input_thermal must be >= 0")
     grid = filt.grid
-    if np.max(np.abs(grid + grid[::-1])) > 1e-9 * np.max(np.abs(grid)):
-        raise UnsupportedFilterError("filter grid lost its mirror symmetry")
     f1 = filt.weights
     f2 = filt.mirrored_weights
     g = gain(grid, profile)

@@ -29,6 +29,7 @@ from numpy.typing import NDArray
 from .detection import _MEASURE_CHUNK, RecordBatch, _blocks_of, _paired_blocks
 from .errors import (
     DegenerateReferenceError,
+    FloatOverflowError,
     InvalidCovarianceError,
     NonFiniteRecordError,
     RangeTooSmallError,
@@ -145,6 +146,10 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DegenerateReferenceError("record prefix has no spread")
     half = sigmas * sigma
+    if not np.isfinite(2.0 * half):
+        raise FloatOverflowError(
+            f"bin_sigmas = {sigmas!r} times the record spread overflows the binning range"
+        )
     return Binning(lo=-half, hi=half, bins=bins)
 
 
@@ -466,17 +471,14 @@ def accumulate_moments(records) -> MomentSet:
 
 
 def moment_set_from_histograms(
-    hists: Mapping[tuple[str, str], Histogram2D] | Iterable[Histogram2D],
+    hists: Mapping[tuple[str, str], Histogram2D],
 ) -> MomentSet:
     """Assemble the 4x4 measured moments from the six pair histograms.
 
     Each variance appears in three histograms; the estimates are averaged.
     Each covariance appears in exactly one.
     """
-    if isinstance(hists, Mapping):
-        table = {tuple(k): v for k, v in hists.items()}
-    else:
-        table = {tuple(h.labels): h for h in hists}
+    table = {tuple(k): v for k, v in hists.items()}
     missing = [p for p in PAIR_LABELS if p not in table]
     if missing:
         raise ValueError(f"missing histograms for pairs {missing}")

@@ -26,7 +26,6 @@ from jpatomo.config import (
     SCENARIOS,
     SCHEMA_VERSION,
     ExperimentConfig,
-    RunSection,
     default_config,
     dumps_config,
     load_config,
@@ -199,6 +198,11 @@ def test_unknown_key_beside_the_retired_ones_returns_2(tmp_path, capsys, section
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config({"schema_version": 1, "detectin": {}})
+    # a root or a section that is no JSON object
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        parse_config([])
+    with pytest.raises(ConfigError, match="run: expected a JSON object"):
+        parse_config({"run": []})
 
 
 def test_unknown_key_reports_section_path():
@@ -207,13 +211,18 @@ def test_unknown_key_reports_section_path():
 
 
 def test_schema_version_mismatch_rejected():
-    with pytest.raises(ConfigError, match="schema_version"):
-        parse_config({"schema_version": SCHEMA_VERSION + 1})
+    # True == 1.0 == 1 in Python, but neither is the integer version
+    for version in (SCHEMA_VERSION + 1, True, 1.0):
+        with pytest.raises(ConfigError, match="schema_version"):
+            parse_config({"schema_version": version})
 
 
 def test_bool_rejected_for_numeric_field():
     with pytest.raises(ConfigError, match="device.kappa_hz"):
         parse_config({"device": {"kappa_hz": True}})
+    # and a number for a true/false field
+    with pytest.raises(ConfigError, match="run.save_records: expected true/false"):
+        parse_config({"run": {"save_records": 1}})
 
 
 def test_float_rejected_for_integer_field():
@@ -289,7 +298,7 @@ def test_write_csv_bytes_equal_the_csv_module(tmp_path):
     )
     columns = (values, values[::-1].copy(), np.arange(values.size, dtype=np.float64))
     header = ("delta_hz", "s_true", "gain")
-    cli._write_csv(tmp_path / "new.csv", header, columns)
+    cli._write_csv(cli._Outputs(tmp_path), "new.csv", header, columns)
     assert (tmp_path / "new.csv").read_bytes() == _csv_module_bytes(
         tmp_path / "old.csv", header, zip(*columns)
     )
@@ -502,13 +511,14 @@ def test_fused_tomography_equals_two_call_path(tmp_path, monkeypatch, method, n)
         got, want = getattr(est, setting), getattr(ref, setting)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
         assert got.n == want.n == n
-    cli._write_json(tmp_path / "ref.json", cli._covariance_payload(ref.tomography))
+    ref_out = cli._Outputs(tmp_path)
+    cli._write_json(ref_out, "ref.json", cli._covariance_payload(ref.tomography))
     assert (tmp_path / "cli" / "covariance.json").read_bytes() == (
         tmp_path / "ref.json"
     ).read_bytes()
     grid = WignerGrid(extent=cfg.run.wigner_extent, points=cfg.run.wigner_points)
     m = wigner_marginals(ref.tomography.v, ref.tomography.r_fit, grid)["x1_x2"]
-    cli._write_wigner_csv(tmp_path / "ref.csv", m, m.ideal)
+    cli._write_wigner_csv(ref_out, "ref.csv", m, m.ideal)
     assert (tmp_path / "cli" / "wigner_x1_x2_ideal.csv").read_bytes() == (
         tmp_path / "ref.csv"
     ).read_bytes()
@@ -818,6 +828,7 @@ def test_cli_negative_seed_returns_2(tmp_path):
         ("detection", "n_noise", "Infinity", "tomography"),
         ("run", "gain_map_powers_dbm", "[-84.0, NaN]", "gain-map"),
         ("run", "gain_span_hz", "1" + "0" * 400, "gain-map"),
+        ("pump", "anchor_power_dbm", "-80.0", "psd"),  # above the critical power
     ],
     ids=lambda v: v if len(v) < 40 else "int-beyond-float",
 )
@@ -850,8 +861,9 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
         ('{"run": {"psd_noise_sigma": 1e200}}', "psd"),  # the fit's sum of squares
         ('{"run": {"psd_noise_sigma": 1e308}}', "psd"),  # the noisy spectrum
         ('{"run": {"r_true": 400.0}}', "tomography"),  # the covariance
+        ('{"run": {"bin_sigmas": 1e308}}', "tomography"),  # the binning range
     ],
-    ids=["psd-fit", "psd-spectrum", "tomography-covariance"],
+    ids=["psd-fit", "psd-spectrum", "tomography-covariance", "tomography-binning"],
 )
 def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     cfg_path = tmp_path / "cfg.json"
@@ -859,6 +871,17 @@ def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
     assert main([*args, "--out", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_config_beyond_memory_returns_2(tmp_path, capsys):
+    # 10^7 bins per axis ask numpy for PiB of histogram counts, which it
+    # refuses at once, so nothing is allocated
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"run": {"bins": 10000000}}')
+    args = ["--config", str(cfg_path), "--records", "2000", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error: the configuration does not fit in memory" in err
 
 
 @pytest.mark.parametrize("n_noise", ["1e30", "1e40", "1e300"])
@@ -995,13 +1018,34 @@ def test_default_run_csvs_keep_their_golden_digests(tmp_path):
 
 
 # SHA-256 of the streaming estimate of the same records and of the default
-# psd run: the moment path and the fit, which no histogram CSV pins
+# psd run: the moment path and the fit, which no histogram CSV pins; then
+# every other file no golden test pins: the default config.json, the device
+# scenarios' CSVs, the JSON files of the histogram run above, and the record
+# files of a 20,000-record save_records run
 _GOLDEN_STREAMING_SEED7 = {
     "covariance.json": "a7689c4476ddb0a75b4dad508e25ae901d067d80c555f889132ec0571d07c2e7",
 }
 _GOLDEN_PSD = {
     "psd.csv": "7e3121f108c47da2e06e9a377a80fa7c908d7f8352426896c3ed94e6a9f8e42b",
     "psd_fit.json": "850f97e5b89bcd53a61316fa0291b036a5ffa505200c26027d6e4015fbc3b61e",
+}
+_GOLDEN_FLUX_SWEEP = {
+    "config.json": "703bb921d4b92e60dd4f9ed814826bc3ccbdb31d0f8ed2bb3a88ba8a555db93c",
+    "flux_sweep.csv": "97b2f3f77096faa95d6258c30004b31a600339a7902c3d01816d8bc13511630d",
+}
+_GOLDEN_REFLECTION = {
+    "reflection.csv": "3c62da2459b25b174ae87f07e689d1fa9bd38c9f5380e239a25385c6fee3f93d",
+}
+_GOLDEN_GAIN_MAP = {
+    "gain_map.csv": "e22f34e0801483c39123581a74a7686b60ed193cce98c4b105e24125df38c215",
+}
+_GOLDEN_HISTOGRAM_SEED7 = {
+    "covariance.json": "a670ae0ebc10a87416fb15ab989fae7421ba12ef80c149ff435ee11979df2404",
+    "histograms.json": "e2c430c5d164e4cdf700003b7995e72cf28c5998742eb65439e35a7af1f41ba9",
+}
+_GOLDEN_RECORDS_SEED7 = {
+    "records_on.bin": "cb82b871ec1fd4edd6ead0c6a5a3212e1bd172b7b8dc1caa0c9841437da56ca6",
+    "records_off.bin": "c86e7114ccad44e14e71f9295e6e985d92633f1fb8797220bf174bb430143349",
 }
 
 
@@ -1011,8 +1055,15 @@ _GOLDEN_PSD = {
         ("tomography", {"n_records": 200_000, "seed": 7, "method": "streaming"},
          _GOLDEN_STREAMING_SEED7),
         ("psd", {}, _GOLDEN_PSD),
+        ("flux-sweep", {}, _GOLDEN_FLUX_SWEEP),
+        ("reflection", {}, _GOLDEN_REFLECTION),
+        ("gain-map", {}, _GOLDEN_GAIN_MAP),
+        ("tomography", {"n_records": 200_000, "seed": 7}, _GOLDEN_HISTOGRAM_SEED7),
+        ("tomography", {"n_records": 20_000, "seed": 7, "save_records": True},
+         _GOLDEN_RECORDS_SEED7),
     ],
-    ids=["streaming", "psd"],
+    ids=["streaming", "psd", "flux-sweep", "reflection", "gain-map", "histogram",
+         "save-records"],
 )
 def test_streaming_and_psd_runs_keep_their_golden_digests(tmp_path, scenario, run, golden):
     cfg = default_config()
@@ -1021,7 +1072,3 @@ def test_streaming_and_psd_runs_keep_their_golden_digests(tmp_path, scenario, ru
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
         assert outputs[name] == digest, name
-
-
-def test_default_run_section_matches_packaged_config():
-    assert default_config().run == RunSection(seed=default_config().run.seed)

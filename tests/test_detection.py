@@ -110,6 +110,9 @@ def test_design_filter_rejects_narrow_span():
             2001,
             span=TWO_PI * 10.0e6,
         )
+    # the three nodes -10.3, 0 and 10.3 all miss the band 10 +- 0.05
+    with pytest.raises(InvalidGridError, match="does not intersect"):
+        design_filter(offset=10.0, shape="boxcar-notch", width=0.1, grid_points=3)
 
 
 def test_design_filter_validation():

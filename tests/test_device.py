@@ -191,6 +191,10 @@ def test_fit_psd_input_validation():
         fit_psd(np.zeros((5, 2)))
     with pytest.raises(ValueError):
         fit_psd(np.zeros((20, 3)))
+    samples = np.column_stack([np.linspace(-1.0, 1.0, 20), np.ones(20)])
+    samples[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_psd(samples)
 
 
 def _reference_fit_psd(samples):

@@ -414,6 +414,18 @@ def test_histogram_invariant_enforced():
         Histogram2D(("X1", "P1"), b.edges, b.edges, np.ones((4, 4), np.int64), n_total=3)
     with pytest.raises(ValueError):
         Histogram2D(("X1", "Q9"), b.edges, b.edges, np.zeros((4, 4), np.int64))
+    with pytest.raises(ValueError, match="edges"):
+        Histogram2D(("X1", "P1"), b.edges[::-1], b.edges, np.zeros((4, 4), np.int64))
+    with pytest.raises(ValueError, match="edges"):
+        Histogram2D(("X1", "P1"), b.edges[:2], b.edges, np.zeros((1, 4), np.int64))
+    with pytest.raises(ValueError, match="counts shape"):
+        Histogram2D(("X1", "P1"), b.edges, b.edges, np.zeros((4, 3), np.int64))
+    counts = np.zeros((4, 4), np.int64)
+    counts[0, 0] = -1
+    with pytest.raises(ValueError, match="non-negative"):
+        Histogram2D(("X1", "P1"), b.edges, b.edges, counts, n_total=0, overflow=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Histogram2D(("X1", "P1"), b.edges, b.edges, np.zeros((4, 4), np.int64), overflow=-1)
 
 
 def _csv_module_histogram(h: Histogram2D) -> bytes:
@@ -436,10 +448,10 @@ def test_histogram_serialization(tmp_path):
     hists = accumulate_histograms(batch, auto_binning(batch, bins=16, sigmas=2.0))
     h = hists[("X1", "X2")]
     assert h.overflow > 0
-    path = tmp_path / "h.csv"
-    digest = cli._write_histogram_csv(path, h)
-    data = path.read_bytes()
-    assert digest == hashlib.sha256(data).hexdigest()
+    out = cli._Outputs(tmp_path)
+    cli._write_histogram_csv(out, "h.csv", h)
+    data = (tmp_path / "h.csv").read_bytes()
+    assert out.digests == {"h.csv": hashlib.sha256(data).hexdigest()}
     assert data == _csv_module_histogram(h)
     lines = data.decode().splitlines()
     assert lines[0] == "axis_x,X1"
@@ -780,6 +792,10 @@ def test_reconstruct_vacuum():
     center = 30
     assert abs(m.measured[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
     assert abs(m.ideal[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
+    # without a grid, as the README calls it: the default WignerGrid()
+    m = wigner_marginals(res.v, res.r_fit)["x1_p1"]
+    assert np.array_equal(m.x, WignerGrid().axis) and m.measured.shape == (101, 101)
+    assert abs(m.measured[50, 50] - VACUUM_MARGINAL_PEAK) < 1e-12
 
 
 def test_reconstruct_squeezed_marginal_orientation():
@@ -797,6 +813,12 @@ def test_reconstruct_squeezed_marginal_orientation():
 def test_reconstruct_rejects_grossly_unphysical():
     with pytest.raises(UnphysicalStateError):
         reconstruct(np.eye(4) * 1e-4)
+    # a matrix that is no finite 4x4 covariance at all
+    for v in (np.full((4, 4), np.nan), np.eye(3) / 4.0):
+        with pytest.raises(InvalidCovarianceError, match="finite 4x4"):
+            reconstruct(v)
+        with pytest.raises(InvalidCovarianceError, match="finite 4x4"):
+            wigner_marginals(v, 0.0)
 
 
 def test_reconstruct_warns_on_marginal_violation():
@@ -827,11 +849,12 @@ def test_reconstruct_json_round_trip(tmp_path):
     assert d["v"][0] == pytest.approx(np.cosh(2.2) / 4 + 0.025)
     assert d["scale_factors"] == [1.0, 0.98]
     assert d["n_records"] == [1000, 1000]
-    path = tmp_path / "res.json"
-    cli._write_json(path, d)
+    out, path = cli._Outputs(tmp_path), tmp_path / "res.json"
+    cli._write_json(out, "res.json", d)
     assert json.loads(path.read_text(), parse_constant=_reject_constant) == d
     # covariance.json is strict JSON: a non-finite field is written as null
-    cli._write_json(path, cli._covariance_payload(dataclasses.replace(res, residual=np.nan)))
+    nan_residual = cli._covariance_payload(dataclasses.replace(res, residual=np.nan))
+    cli._write_json(out, "res.json", nan_residual)
     assert json.loads(path.read_text(), parse_constant=_reject_constant)["residual"] is None
 
 
@@ -839,10 +862,10 @@ def test_wigner_marginal_csv(tmp_path):
     res = reconstruct(tms_theory_covariance(0.3).cov + 0.01 * np.eye(4))
     m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=1.0, points=3))["x1_p1"]
     for density in (m.measured, m.ideal):
-        path = tmp_path / "w.csv"
-        digest = cli._write_wigner_csv(path, m, density)
-        data = path.read_bytes()
-        assert digest == hashlib.sha256(data).hexdigest()
+        out = cli._Outputs(tmp_path)
+        cli._write_wigner_csv(out, "w.csv", m, density)
+        data = (tmp_path / "w.csv").read_bytes()
+        assert out.digests == {"w.csv": hashlib.sha256(data).hexdigest()}
         # header, then one x,y,density row of reprs per grid point, x-major
         want = ["x1,p1,density\r\n"] + [
             f"{x!r},{y!r},{float(density[i, j])!r}\r\n"
@@ -857,10 +880,10 @@ def test_wigner_marginal_csv(tmp_path):
 def test_wigner_csv_is_written_one_x_row_at_a_time(tmp_path):
     res = reconstruct(tms_theory_covariance(1.78).cov)
     m = wigner_marginals(res.v, res.r_fit, WignerGrid())["x1_x2"]
-    path = tmp_path / "w.csv"
+    out, path = cli._Outputs(tmp_path), tmp_path / "w.csv"
     tracemalloc.start()
     try:
-        cli._write_wigner_csv(path, m, m.measured)
+        cli._write_wigner_csv(out, "w.csv", m, m.measured)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
