@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -22,8 +23,9 @@ from .device import (
     DeviceParams,
     GainAnchor,
     PumpConfig,
+    gain_profile,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FloatOverflowError, UnstableRegimeError
 
 TWO_PI = 2.0 * np.pi
 SCHEMA_VERSION = 1
@@ -268,28 +270,56 @@ def _validate(cfg: ExperimentConfig) -> None:
         (run.psd_points >= 10, "run.psd_points must be >= 10"),
         (run.psd_seed_offset >= 0, "run.psd_seed_offset must be >= 0"),
         (run.flux_points >= 2, "run.flux_points must be >= 2"),
-        (0 <= run.flux_min < run.flux_max < 0.5, "run flux range must satisfy 0 <= min < max < 0.5"),
+        (
+            0 <= run.flux_min < run.flux_max < 0.5,
+            "run flux range must satisfy 0 <= flux_min < flux_max < 0.5",
+        ),
         (run.reflection_span_hz > 0, "run.reflection_span_hz must be > 0"),
         (run.reflection_points >= 2, "run.reflection_points must be >= 2"),
         (run.gain_span_hz > 0, "run.gain_span_hz must be > 0"),
         (run.gain_points >= 2, "run.gain_points must be >= 2"),
-        (
-            cfg.pump.anchor_power_dbm < cfg.pump.critical_power_dbm,
-            "pump.anchor_power_dbm must be below pump.critical_power_dbm",
-        ),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    # bytes of the six (bins + 1)^2 int64 cell planes of each pump setting's
+    # histograms, and of one wigner_points^2 float64 grid
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for key, need in (
+        ("bins", 96 * (run.bins + 1) ** 2),
+        ("wigner_points", 8 * run.wigner_points**2),
+    ):
+        if need > memory:
+            raise ConfigError(
+                f"the configuration does not fit in memory: run.{key} = "
+                f"{getattr(run, key)} needs {need} bytes, more than the machine's {memory}"
+            )
     # build each domain object now so bad physics values fail at load time
+    for section, build in (
+        ("device", cfg.device.build),
+        ("pump", cfg.pump.build),
+        ("pump", cfg.pump.build_anchor),
+        ("detection", cfg.detection.build),
+        ("filter", cfg.filter.build),
+    ):
+        try:
+            build()
+        except Exception as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     try:
-        cfg.device.build()
-        cfg.pump.build()
-        cfg.pump.build_anchor()
-        cfg.detection.build()
-        cfg.filter.build()
-    except Exception as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        gain_profile(cfg.pump.build(), cfg.device.build(), cfg.pump.build_anchor())
+    except UnstableRegimeError:
+        pass  # the scenarios that pump the device report it (exit 3)
+    except (ValueError, FloatOverflowError) as exc:
+        # the defaults build, so the pump keys set away from them are at
+        # fault, or else the device's
+        default = PumpSection()
+        keys = [
+            f"pump.{f.name}"
+            for f in fields(default)
+            if getattr(cfg.pump, f.name) != getattr(default, f.name)
+        ]
+        raise ConfigError(f"{', '.join(keys) or 'device'}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

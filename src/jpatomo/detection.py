@@ -29,7 +29,12 @@ from .errors import (
     InvalidGridError,
     UnsupportedFilterError,
 )
-from .gaussian import GaussianState, _cholesky_with_jitter, vacuum_state
+from .gaussian import (
+    GaussianState,
+    _cholesky_with_jitter,
+    symmetric_two_mode_state,
+    vacuum_state,
+)
 
 FILTER_SHAPES = ("boxcar-notch", "raised-cosine-notch")
 
@@ -51,8 +56,10 @@ class FilterSpec:
 
     `weights` holds f1 on `grid`; the idler filter is the array reversal
     (exact mirror, since the grid is antisymmetric by construction).  The
-    squared weights integrate to 1 (Riemann sum, tol 1e-10) and the weight at
-    the pump bin delta = 0 is exactly zero.
+    squared weights integrate to 1 (Riemann sum, tol 1e-10), the weight at
+    the pump bin delta = 0 is exactly zero, and no grid point carries a
+    non-zero weight in both f1 and its mirror: the two channels select two
+    distinct modes only where their bands share no frequency.
     """
 
     offset: float
@@ -76,6 +83,13 @@ class FilterSpec:
             raise ValueError(f"filter normalization {norm} deviates from 1")
         if weights[grid.size // 2] != 0.0:
             raise ValueError("weight at the pump bin must be exactly zero")
+        overlap = np.count_nonzero((weights != 0.0) & (weights[::-1] != 0.0))
+        if overlap:
+            raise UnsupportedFilterError(
+                f"the signal band overlaps its mirror at {overlap} grid points: "
+                "the two channels share frequencies and select no two distinct "
+                "modes (design_filter's bands are apart for offset >= width / 2)"
+            )
         grid.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -173,50 +187,27 @@ def output_two_mode_state(
 
         <b1^dag b1> = int |f1|^2 [(G-1)(1 + nbar) + G nbar]
         <b1 b2>     = int f1(d) f2(-d) A_d B_d (1 + 2 nbar)
-        <b1 b1>     = int f1(d) f1(-d) A_d B_d (1 + 2 nbar)
-        <b1 b2^dag> = int f1(d) f2*(d) [G (1 + nbar) + (G-1) nbar]
 
-    For vacuum input and non-overlapping mirror filters only the first two
-    survive and the diagonal equals cosh(2 predicted_r)/4 exactly; the cross
-    covariance is bounded by the pure-state value sinh(2 predicted_r)/4
-    (equality iff the gain is flat across the filter support).
+    f1 and its mirror f2 share no grid point (FilterSpec rejects a pair that
+    does), so <b1 b1> and <b1 b2^dag>, whose integrands are f1 f2 and f1 f2*,
+    vanish, and b1 and b2 are two independent modes.  For vacuum input the
+    diagonal equals cosh(2 predicted_r)/4 exactly; the cross covariance is
+    bounded by the pure-state value sinh(2 predicted_r)/4 (equality iff the
+    gain is flat across the filter support).
     """
     if input_thermal < 0:
         raise ValueError("input_thermal must be >= 0")
     grid = filt.grid
     f1 = filt.weights
-    f2 = filt.mirrored_weights
     g = gain(grid, profile)
-    a_coef = np.sqrt(g)
-    b_coef = np.sqrt(np.maximum(g - 1.0, 0.0))
     nbar = float(input_thermal)
-
-    def integral(values) -> complex:
-        return complex(np.trapezoid(values, grid))
-
-    # f2(-delta) = f1(delta) and f1(-delta) = f2(delta) by mirror symmetry.
-    occ = integral(np.abs(f1) ** 2 * ((g - 1.0) * (1.0 + nbar) + g * nbar))
-    pair = integral(f1 * f1 * a_coef * b_coef) * (1.0 + 2.0 * nbar)
-    self_pair = integral(f1 * f2 * a_coef * b_coef) * (1.0 + 2.0 * nbar)
-    beam = integral(f1 * np.conj(f2) * (g * (1.0 + nbar) + (g - 1.0) * nbar))
-
-    n1 = occ.real
-    var_x = (2.0 * n1 + 1.0 + 2.0 * self_pair.real) / 4.0
-    var_p = (2.0 * n1 + 1.0 - 2.0 * self_pair.real) / 4.0
-    xp = self_pair.imag / 2.0
-    x1x2 = (pair.real + beam.real) / 2.0
-    p1p2 = (beam.real - pair.real) / 2.0
-    x1p2 = (pair.imag - beam.imag) / 2.0
-    p1x2 = (pair.imag + beam.imag) / 2.0
-    cov = np.array(
-        [
-            [var_x, xp, x1x2, x1p2],
-            [xp, var_p, p1x2, p1p2],
-            [x1x2, p1x2, var_x, xp],
-            [x1p2, p1p2, xp, var_p],
-        ]
-    )
-    return GaussianState(2, np.zeros(4), cov)
+    # f2(-delta) = f1(delta) by mirror symmetry
+    occ = np.trapezoid(np.abs(f1) ** 2 * ((g - 1.0) * (1.0 + nbar) + g * nbar), grid)
+    pair = complex(
+        np.trapezoid(f1 * f1 * np.sqrt(g) * np.sqrt(np.maximum(g - 1.0, 0.0)), grid)
+    ) * (1.0 + 2.0 * nbar)
+    var = (2.0 * occ + 1.0) / 4.0
+    return symmetric_two_mode_state(var, pair.real / 2.0, pair.imag / 2.0)
 
 
 @dataclass(frozen=True)

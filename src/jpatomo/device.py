@@ -151,15 +151,15 @@ def gain_profile(
     the critical point, diverges at the critical power, and tends to 1 as the
     power backs off; the bandwidth follows from sqrt(G0) * B = c_gb * kappa.
     """
+    anchor_margin = pump.critical_power_dbm - anchor.power_dbm
+    if anchor_margin <= 0:
+        raise ValueError("gain anchor must sit below the critical power")
     margin = pump.critical_power_dbm - pump.power_dbm
     if margin <= 0:
         raise UnstableRegimeError(
             f"pump power {pump.power_dbm} dBm at or above critical "
             f"{pump.critical_power_dbm} dBm"
         )
-    anchor_margin = pump.critical_power_dbm - anchor.power_dbm
-    if anchor_margin <= 0:
-        raise ValueError("gain anchor must sit below the critical power")
 
     def power_shape(margin_db: float) -> float:
         x = 10.0 ** (-margin_db / 10.0)
@@ -170,9 +170,14 @@ def gain_profile(
 
     d = abs(pump.omega_p - pump.critical_omega_p)
     d_a = abs(anchor.omega_p - pump.critical_omega_p)
-    g0 = 1.0 + (anchor.g0 - 1.0) * (power_shape(margin) / power_shape(anchor_margin)) * (
-        lor(d) / lor(d_a)
-    )
+    try:
+        g0 = 1.0 + (anchor.g0 - 1.0) * (power_shape(margin) / power_shape(anchor_margin)) * (
+            lor(d) / lor(d_a)
+        )
+    except (OverflowError, ZeroDivisionError) as exc:  # a factor beyond float64
+        raise FloatOverflowError(f"the gain model leaves float64: {exc}") from exc
+    if not math.isfinite(g0):
+        raise FloatOverflowError(f"the gain model's peak gain {g0!r} overflows float64")
     bandwidth = params.gain_bandwidth_const * params.kappa / np.sqrt(g0)
     return GainProfile(g0=g0, bandwidth=bandwidth, omega_p=pump.omega_p)
 

@@ -52,7 +52,10 @@ class InvalidGridError(NumericsError):
 
 
 class UnsupportedFilterError(NumericsError):
-    """Filter lacks the mirror symmetry the scattering identity requires."""
+    """Filter pair the two-mode model cannot serve: its grid is not uniform,
+    odd-sized and symmetric about the pump, which the mirror identity
+    f2(delta) = f1(-delta) needs, or the signal band overlaps its mirror, so
+    the two channels share frequencies and select no two distinct modes."""
 
 
 class InternalConsistencyError(NumericsError):

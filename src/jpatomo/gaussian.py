@@ -117,6 +117,21 @@ def two_mode_squeeze(state: GaussianState, r: float) -> GaussianState:
     return GaussianState(2, s_mat @ state.mean, (cov + cov.T) / 2.0)
 
 
+def symmetric_two_mode_state(var: float, xx: float, xp: float) -> GaussianState:
+    """Zero-mean two-mode state: variance `var` in each quadrature, no
+    correlation within a mode, <x1 x2> = -<p1 p2> = xx and <x1 p2> = <p1 x2>
+    = xp, i.e. <b1 b2> = 2 (xx + i xp)."""
+    cov = np.array(
+        [
+            [var, 0.0, xx, xp],
+            [0.0, var, xp, -xx],
+            [xx, xp, var, 0.0],
+            [xp, -xx, 0.0, var],
+        ]
+    )
+    return GaussianState(2, np.zeros(4), cov)
+
+
 def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
     """Closed-form two-mode squeezed vacuum plus symmetric excess noise.
 
@@ -133,15 +148,7 @@ def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
         c = np.sinh(2 * r) / 4.0
     if not (np.isfinite(d) and np.isfinite(c)):
         raise FloatOverflowError(f"r = {r!r}, n_add = {n_add!r} overflow the covariance")
-    cov = np.array(
-        [
-            [d, 0.0, c, 0.0],
-            [0.0, d, 0.0, -c],
-            [c, 0.0, d, 0.0],
-            [0.0, -c, 0.0, d],
-        ]
-    )
-    return GaussianState(2, np.zeros(4), cov)
+    return symmetric_two_mode_state(d, c, 0.0)
 
 
 def wigner(state: GaussianState, points: NDArray[np.float64]) -> np.ndarray | float:

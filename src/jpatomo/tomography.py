@@ -146,11 +146,14 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DegenerateReferenceError("record prefix has no spread")
     half = sigmas * sigma
-    if not np.isfinite(2.0 * half):
-        raise FloatOverflowError(
-            f"bin_sigmas = {sigmas!r} times the record spread overflows the binning range"
-        )
-    return Binning(lo=-half, hi=half, bins=bins)
+    # Binning.width, squared by Sheppard's correction
+    width = 2.0 * half / bins
+    if not np.isfinite(width * width):
+        raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin width")
+    binning = Binning(lo=-half, hi=half, bins=bins)
+    if not (np.diff(binning.edges) > 0.0).all():
+        raise DegenerateReferenceError(f"bin_sigmas = {sigmas!r}: bin edges coincide in float64")
+    return binning
 
 
 @dataclass

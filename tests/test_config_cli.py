@@ -12,12 +12,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import jpatomo
 from jpatomo import cli, config, detection, tomography
@@ -233,6 +236,43 @@ def test_float_rejected_for_integer_field():
 def test_bad_enum_value_rejected():
     with pytest.raises(ConfigError, match="filter.shape"):
         parse_config({"filter": {"shape": "brick-wall"}})
+    # fields that nothing but the choice check guards
+    with pytest.raises(ConfigError, match="run.method"):
+        parse_config({"run": {"method": "maximum-likelihood"}})
+    with pytest.raises(ConfigError, match="run.state_source"):
+        parse_config({"run": {"state_source": "oracle"}})
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "edge", "beyond"),
+    [
+        ("run", "n_records", 0, -1),
+        ("run", "seed", 0, -1),
+        ("run", "bins", 2, 1),
+        ("run", "bin_sigmas", 5e-324, 0.0),
+        ("run", "prefix_records", 2, 1),
+        ("run", "r_true", 0.0, -5e-324),
+        ("run", "n_add_true", 0.0, -5e-324),
+        ("run", "input_thermal", 0.0, -5e-324),
+        ("run", "wigner_extent", 5e-324, 0.0),
+        ("run", "wigner_points", 2, 1),
+        ("run", "psd_noise_sigma", 0.0, -5e-324),
+        ("run", "psd_points", 10, 9),
+        ("run", "psd_seed_offset", 0, -1),
+        ("run", "flux_points", 2, 1),
+        ("run", "flux_min", 0.0, -5e-324),
+        ("run", "flux_max", 0.49999999999999994, 0.5),
+        ("run", "reflection_span_hz", 5e-324, 0.0),
+        ("run", "reflection_points", 2, 1),
+        ("run", "gain_span_hz", 5e-324, 0.0),
+        ("run", "gain_points", 2, 1),
+        ("pump", "anchor_power_dbm", -80.60000000000001, -80.6),  # critical: -80.6
+    ],
+)
+def test_each_bound_accepts_its_edge_and_rejects_beyond(section, key, edge, beyond):
+    assert getattr(getattr(parse_config({section: {key: edge}}), section), key) == edge
+    with pytest.raises(ConfigError, match=key):
+        parse_config({section: {key: beyond}})
 
 
 def test_bad_flux_range_rejected():
@@ -829,6 +869,14 @@ def test_cli_negative_seed_returns_2(tmp_path):
         ("run", "gain_map_powers_dbm", "[-84.0, NaN]", "gain-map"),
         ("run", "gain_span_hz", "1" + "0" * 400, "gain-map"),
         ("pump", "anchor_power_dbm", "-80.0", "psd"),  # above the critical power
+        # pump values the gain model cannot evaluate in float64
+        ("pump", "omega_p_hz", "1e300", "psd"),
+        ("pump", "critical_omega_p_hz", "1e300", "gain-map"),
+        ("pump", "anchor_omega_p_hz", "1e300", "tomography"),
+        ("pump", "critical_power_dbm", "1e15", "psd"),
+        ("pump", "critical_power_dbm", "1e300", "tomography"),
+        ("pump", "anchor_freq_scale_hz", "5e-324", "gain-map"),
+        ("pump", "anchor_freq_scale_hz", "1e-300", "psd"),
     ],
     ids=lambda v: v if len(v) < 40 else "int-beyond-float",
 )
@@ -862,8 +910,17 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
         ('{"run": {"psd_noise_sigma": 1e308}}', "psd"),  # the noisy spectrum
         ('{"run": {"r_true": 400.0}}', "tomography"),  # the covariance
         ('{"run": {"bin_sigmas": 1e308}}', "tomography"),  # the binning range
+        ('{"run": {"bin_sigmas": 1e300}}', "tomography"),  # the squared bin width
+        ('{"run": {"bin_sigmas": 5e-324}}', "tomography"),  # edges float64 cannot part
     ],
-    ids=["psd-fit", "psd-spectrum", "tomography-covariance", "tomography-binning"],
+    ids=[
+        "psd-fit",
+        "psd-spectrum",
+        "tomography-covariance",
+        "tomography-binning",
+        "tomography-bin-width",
+        "tomography-bin-edges",
+    ],
 )
 def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     cfg_path = tmp_path / "cfg.json"
@@ -873,15 +930,123 @@ def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_config_beyond_memory_returns_2(tmp_path, capsys):
-    # 10^7 bins per axis ask numpy for PiB of histogram counts, which it
-    # refuses at once, so nothing is allocated
+def test_cli_config_beyond_memory_returns_2(tmp_path, capsys, draws):
+    # 10^7 or 10^18 bins per axis ask for PiB of histogram counts, and 10^7
+    # Wigner points per axis for 800 TB of grid: each is refused at load,
+    # before a record is drawn or a file written
+    for k, (key, value) in enumerate(
+        [("bins", 10**7), ("bins", 10**18), ("wigner_points", 10**7)]
+    ):
+        cfg_path = tmp_path / f"cfg{k}.json"
+        cfg_path.write_text(f'{{"run": {{"{key}": {value}}}}}')
+        out = tmp_path / f"o{k}"
+        args = ["--config", str(cfg_path), "--records", "2000", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error: the configuration does not fit in memory" in err
+        assert f"run.{key} = {value}" in err
+        assert draws == [] and not out.exists()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_filter_that_overlaps_its_mirror_returns_2(tmp_path, capsys, draws, scenario):
+    # a 4 MHz band at 1 MHz offset reaches 1 MHz past the pump into its
+    # mirror: the two channels share frequencies, and no scenario runs on it
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"run": {"bins": 10000000}}')
-    args = ["--config", str(cfg_path), "--records", "2000", "--out", str(tmp_path / "o")]
-    assert main(args) == 2
+    cfg_path.write_text('{"filter": {"offset_hz": 1e6, "width_hz": 4e6}}')
+    out = tmp_path / "o"
+    args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
+    assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: the configuration does not fit in memory" in err
+    assert "config error: filter: the signal band overlaps its mirror" in err
+    assert draws == [] and not out.exists()
+
+
+@pytest.mark.parametrize("shape", ["boxcar-notch", "raised-cosine-notch"])
+def test_cli_filter_at_half_its_width_from_the_pump_runs(tmp_path, shape):
+    # offset = width / 2: the band touches its mirror only at the notched
+    # pump bin, so the device state exists
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "filter": {"shape": shape, "offset_hz": 2e6, "width_hz": 4e6},
+                "run": {"state_source": "device", "method": "streaming"},
+            }
+        )
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg_path), "--records", "200000", "--out", str(out)]) == 0
+    assert read_manifest(out)["results"]["predicted_r"] > 1.0
+
+
+# Boundary values as the config file can spell them: random finite floats
+# besides, but no mid-size count that numpy would really allocate
+_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e15, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_INTS = st.sampled_from([0, 1, 2, 3, -1, 10**18])
+
+
+def _values_of(section: str, name: str):
+    kind = config._FIELD_TYPES[section][name]
+    if kind is str:
+        return st.sampled_from([*config._STRING_FIELDS[(section, name)], "unknown"])
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return _INTS
+    if kind == float | None:
+        return st.none() | _FLOATS
+    if kind == tuple[float, ...]:
+        return st.lists(_FLOATS, max_size=3)
+    return _FLOATS
+
+
+_FIELDS = [(section, name) for section, hints in config._FIELD_TYPES.items() for name in hints]
+# one or two fields changed at a time, as ((section, name), value) pairs
+_CHANGES = st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=2, unique=True).flatmap(
+    lambda keys: st.tuples(*(st.tuples(st.just(key), _values_of(*key)) for key in keys))
+)
+
+
+@given(changes=_CHANGES, scenario=st.sampled_from(SCENARIOS))
+# the inputs that once exited 1 with a traceback, and a filter band that
+# overlaps its mirror
+@example(changes=((("pump", "omega_p_hz"), 1e300),), scenario="psd")
+@example(changes=((("pump", "critical_omega_p_hz"), 1e300),), scenario="tomography")
+@example(changes=((("pump", "anchor_omega_p_hz"), 1e300),), scenario="gain-map")
+@example(changes=((("pump", "critical_power_dbm"), 1e15),), scenario="psd")
+@example(changes=((("pump", "critical_power_dbm"), 1e300),), scenario="gain-map")
+@example(changes=((("pump", "anchor_freq_scale_hz"), 5e-324),), scenario="psd")
+@example(changes=((("pump", "anchor_freq_scale_hz"), 1e-300),), scenario="tomography")
+@example(changes=((("run", "bin_sigmas"), 1e300),), scenario="tomography")
+@example(changes=((("run", "bin_sigmas"), 5e-324),), scenario="tomography")
+@example(changes=((("run", "bins"), 10**18),), scenario="tomography")
+@example(
+    changes=((("filter", "offset_hz"), 1e6), (("filter", "width_hz"), 4e6)),
+    scenario="psd",
+)
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_exits_0_2_3_or_4_on_any_config(tmp_path, capsys, draws, changes, scenario):
+    data: dict = {}
+    for (section, name), value in changes:
+        data.setdefault(section, {})[name] = value
+    draws.clear()
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        cfg_path = Path(scratch) / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "3000"]
+        code = main([*args, "--out", str(Path(scratch) / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    if code == 2:  # a config error stops the run before its record pass
+        assert draws == []
 
 
 @pytest.mark.parametrize("n_noise", ["1e30", "1e40", "1e300"])

@@ -83,13 +83,16 @@ def test_filter_pair_does_not_overlap_when_offset_exceeds_width(shape):
 
 
 @given(
-    offset_mhz=st.floats(2.0, 20.0),
-    width_mhz=st.floats(0.5, 8.0),
+    # a width of at most twice the offset: the band and its mirror stay apart
+    offset_width_mhz=st.floats(2.0, 20.0).flatmap(
+        lambda offset: st.tuples(st.just(offset), st.floats(0.5, min(8.0, 2.0 * offset)))
+    ),
     n=st.integers(101, 4001),
     shape=st.sampled_from(["boxcar-notch", "raised-cosine-notch"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_filter_normalization_property(offset_mhz, width_mhz, n, shape):
+def test_filter_normalization_property(offset_width_mhz, n, shape):
+    offset_mhz, width_mhz = offset_width_mhz
     filt = design_filter(TWO_PI * offset_mhz * 1e6, shape, TWO_PI * width_mhz * 1e6, n)
     assert abs(np.sum(np.abs(filt.weights) ** 2) * filt.spacing - 1.0) < 1e-10
     assert filt.grid.size % 2 == 1
@@ -113,6 +116,9 @@ def test_design_filter_rejects_narrow_span():
     # the three nodes -10.3, 0 and 10.3 all miss the band 10 +- 0.05
     with pytest.raises(InvalidGridError, match="does not intersect"):
         design_filter(offset=10.0, shape="boxcar-notch", width=0.1, grid_points=3)
+    # the narrowest span accepted: offset + 3 width, less the 1e-12 tolerance
+    edge = (TWO_PI * 5.0e6 + 3.0 * TWO_PI * 4.0e6) * (1.0 - 1e-12)
+    design_filter(TWO_PI * 5.0e6, "boxcar-notch", TWO_PI * 4.0e6, 2001, span=edge)
 
 
 def test_design_filter_validation():
@@ -122,14 +128,38 @@ def test_design_filter_validation():
         design_filter(TWO_PI * 5.0e6, "boxcar-notch", -1.0)
     with pytest.raises(ValueError):
         design_filter(-1.0, "boxcar-notch", TWO_PI * 4.0e6)
+    with pytest.raises(ValueError, match="width must be > 0"):
+        design_filter(TWO_PI * 5.0e6, "boxcar-notch", 0.0)
+    with pytest.raises(ValueError, match="grid_points must be >= 3"):
+        design_filter(TWO_PI * 5.0e6, "boxcar-notch", TWO_PI * 4.0e6, grid_points=1)
+
+
+@pytest.mark.parametrize("shape", ["boxcar-notch", "raised-cosine-notch"])
+def test_filter_weights_follow_the_design_formula(shape):
+    # offset 2, width 4 on the integer nodes -14..14: the band [0, 4] has nodes
+    # on both edges, and the notch (sigma_n = 0.2) weighs on the node at 1
+    filt = design_filter(2.0, shape, 4.0, grid_points=29)
+    np.testing.assert_array_equal(filt.grid, np.arange(-14.0, 15.0))
+    u = (filt.grid - 2.0) / 2.0
+    if shape == "boxcar-notch":
+        w = np.where(np.abs(u) <= 1.0, 1.0, 0.0)
+    else:
+        taper = np.where(np.abs(u) <= 1.0, np.cos(np.pi * u / 2.0) ** 2, 0.0)
+        w = taper * (1.0 - np.exp(-(filt.grid**2) / (2.0 * 0.2**2)))
+    w[14] = 0.0
+    w /= np.sqrt(np.sum(w**2))
+    np.testing.assert_array_equal(filt.weights != 0.0, w != 0.0)  # nodes 1..4
+    np.testing.assert_allclose(filt.weights.real, w, rtol=1e-12, atol=0.0)
 
 
 def test_filterspec_rejects_bad_grids():
     grid = (np.arange(5) - 2) * 1.0
-    w = np.ones(5, dtype=np.complex128)
-    w[2] = 0.0
+    w = np.array([0.0, 0.0, 0.0, 1.0, 1.0], dtype=np.complex128)  # one-sided
     w = w / np.sqrt(np.sum(np.abs(w) ** 2) * 1.0)
-    FilterSpec(offset=0.0, grid=grid, weights=w)  # sane baseline accepted
+    FilterSpec(offset=1.5, grid=grid, weights=w)  # sane baseline accepted
+    FilterSpec(offset=1.0, grid=grid[1:4], weights=np.array([0, 0, 1], complex))  # 3 nodes
+    with pytest.raises(UnsupportedFilterError, match="shapes differ"):
+        FilterSpec(offset=1.5, grid=grid, weights=w[1:4])
     with pytest.raises(UnsupportedFilterError):
         FilterSpec(offset=0.0, grid=grid + 0.5, weights=w)  # asymmetric
     with pytest.raises(UnsupportedFilterError):
@@ -139,10 +169,35 @@ def test_filterspec_rejects_bad_grids():
     with pytest.raises(ValueError):
         FilterSpec(offset=0.0, grid=grid, weights=2.0 * w)  # unnormalized
     bad = w.copy()
-    bad[2] = bad[1]
+    bad[2] = bad[3]
     bad = bad / np.sqrt(np.sum(np.abs(bad) ** 2))
     with pytest.raises(ValueError):
-        FilterSpec(offset=0.0, grid=grid, weights=bad)  # pump bin not zero
+        FilterSpec(offset=1.5, grid=grid, weights=bad)  # pump bin not zero
+
+
+def test_filterspec_rejects_a_filter_that_overlaps_its_mirror():
+    # both sides of the pump: f1 and its mirror share the grid points +-1, +-2
+    grid = (np.arange(5) - 2) * 1.0
+    w = np.array([1.0, 1.0, 0.0, 1.0, 1.0], dtype=np.complex128) / 2.0
+    with pytest.raises(UnsupportedFilterError, match="overlaps its mirror at 4 grid points"):
+        FilterSpec(offset=0.0, grid=grid, weights=w)
+    # one shared point is enough
+    w = np.array([0.0, 1.0, 0.0, 1.0, 1.0], dtype=np.complex128) / np.sqrt(3.0)
+    with pytest.raises(UnsupportedFilterError, match="at 2 grid points"):
+        FilterSpec(offset=1.0, grid=grid, weights=w)
+
+
+@pytest.mark.parametrize("shape", ["boxcar-notch", "raised-cosine-notch"])
+def test_design_filter_rejects_a_band_wider_than_twice_its_offset(shape):
+    with pytest.raises(UnsupportedFilterError, match="overlaps its mirror"):
+        design_filter(TWO_PI * 1.0e6, shape, TWO_PI * 4.0e6, 2001)
+    with pytest.raises(UnsupportedFilterError, match="overlaps its mirror"):
+        design_filter(0.0, shape, TWO_PI * 4.0e6, 2001)
+    # offset = width / 2: the band touches its mirror only at the pump bin,
+    # whose weight is zero
+    filt = design_filter(TWO_PI * 2.0e6, shape, TWO_PI * 4.0e6, 2001)
+    assert np.max(np.abs(filt.weights * filt.mirrored_weights)) == 0.0
+    assert np.count_nonzero(filt.weights[filt.grid > 0.0]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +316,9 @@ def test_detection_config_validation():
         DetectionConfig(gain_ch1=0.0)
     with pytest.raises(ValueError):
         DetectionConfig(n_noise_ch2=-0.5)
+    with pytest.raises(ValueError):
+        DetectionConfig(gain_ch2=0.0)
+    assert DetectionConfig(n_noise_ch2=0.0).noise_pair == (69.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -739,8 +797,10 @@ def test_record_batch_binary_rejects_truncated_stream(tmp_path):
 
 
 def test_record_batch_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
         RecordBatch(np.zeros(3, np.complex128), np.zeros(4, np.complex128))
+    with pytest.raises(TypeError, match=r"\(n, 4\) quadrature array"):
+        list(detection._blocks_of(np.zeros((5, 3))))
 
 
 def test_gain_bandwidth_constant_is_the_calibrated_coupling():

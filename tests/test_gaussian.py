@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from jpatomo.errors import SingularCovarianceError
+from jpatomo.errors import FloatOverflowError, SingularCovarianceError
 from jpatomo.gaussian import (
     GaussianState,
     is_physical,
@@ -43,6 +43,8 @@ def test_vacuum_state_covariance():
 def test_vacuum_state_rejects_zero_modes():
     with pytest.raises(ValueError):
         vacuum_state(0)
+    with pytest.raises(ValueError, match="n_modes must be >= 1, got -1"):
+        vacuum_state(-1)
 
 
 def test_squeezer_matches_matrix_exponential():
@@ -80,6 +82,10 @@ def test_tms_covariance_frozen_values():
     np.testing.assert_array_equal(noisy - v, 0.125 * np.eye(4))
     with pytest.raises(ValueError):
         tms_theory_covariance(1.78, -0.1)
+    with pytest.raises(ValueError, match="r must be finite"):
+        tms_theory_covariance(np.inf)
+    with pytest.raises(FloatOverflowError):
+        tms_theory_covariance(400.0)
 
 
 def test_squeeze_of_vacuum_equals_theory():
@@ -87,6 +93,10 @@ def test_squeeze_of_vacuum_equals_theory():
     np.testing.assert_allclose(
         squeezed.cov, tms_theory_covariance(1.78).cov, rtol=0, atol=1e-12
     )
+    with pytest.raises(ValueError, match="requires a 2-mode state"):
+        two_mode_squeeze(vacuum_state(1), 1.78)
+    with pytest.raises(ValueError, match="r must be finite"):
+        two_mode_squeeze(vacuum_state(2), np.inf)
 
 
 def test_squeezed_combination_variances():
@@ -100,6 +110,8 @@ def test_squeezed_combination_variances():
 def test_witness_values():
     assert witness(vacuum_state(2)) == pytest.approx(1.0, abs=1e-15)
     assert witness(tms_theory_covariance(1.75)) == pytest.approx(EXP_M35, rel=1e-12)
+    with pytest.raises(ValueError, match="requires a 2-mode state"):
+        witness(vacuum_state(1))
 
 
 @given(
@@ -157,6 +169,10 @@ def test_is_physical_examples():
     assert physicality_margin(vacuum_state(2).cov) == pytest.approx(0.0, abs=1e-15)
     assert physicality_margin(np.eye(4) * (2 * 0.3 + 1) / 4.0) == pytest.approx(0.15)
     assert physicality_margin(below_vacuum.cov) == pytest.approx(-0.125)
+    # the bound itself passes: a thermal margin of exactly 1/4 against tol -1/4
+    thermal = GaussianState(2, np.zeros(4), np.eye(4) / 2.0)
+    assert physicality_margin(thermal.cov) == 0.25
+    assert is_physical(thermal, tol=-0.25)
 
 
 def test_wigner_vacuum_values():
@@ -179,6 +195,8 @@ def test_wigner_rejects_singular_covariance():
     squashed = GaussianState(2, np.zeros(4), np.zeros((4, 4)))
     with pytest.raises(SingularCovarianceError):
         wigner(squashed, np.zeros(4))
+    with pytest.raises(ValueError, match="trailing dimension 4"):
+        wigner(vacuum_state(2), np.zeros(3))
 
 
 def test_marginal_vacuum_peak_and_normalization():
@@ -229,6 +247,11 @@ def test_state_validation():
     asym[0, 1] = 0.5
     with pytest.raises(ValueError):
         GaussianState(2, np.zeros(4), asym)
+    # an asymmetry of exactly the 1e-12 relative tolerance is accepted
+    asym[0, 1] = 1e-12
+    assert GaussianState(2, np.zeros(4), asym).cov[0, 1] == 0.5e-12
+    with pytest.raises(ValueError, match="n_modes must be >= 1, got 0"):
+        GaussianState(0, np.zeros(0), np.zeros((0, 0)))
     bad = np.eye(4)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):

@@ -165,8 +165,13 @@ def test_pump_off_histogram_is_circularly_symmetric():
 def test_histogram_merge_is_bin_exact_across_shards():
     batch = measure(two_mode_squeeze(vacuum_state(2), 1.0), DetectionConfig(), 40_000, seed=8)
     binning = auto_binning(batch)
-    whole = accumulate_histograms(batch, binning)
-    q = batch.quadratures()
+    q = batch.quadratures().copy()
+    # out-of-range records in the second and last shards: merged overflow
+    # adds up, shard by shard
+    q[5_000:5_003, 0] = 2.0 * binning.hi
+    q[39_990, 3] = 2.0 * binning.lo
+    whole = accumulate_histograms(q, binning)
+    assert whole[("X1", "P1")].overflow == 3 and whole[("X2", "P2")].overflow == 1
     shards = [
         accumulate_histograms(q[k * 5000 : (k + 1) * 5000], binning) for k in range(8)
     ]
