@@ -9,8 +9,9 @@ Every site of three mutation classes is listed in source order:
 
 Each mutant is the module with one site changed.  It runs against that
 module's tests with `pytest -x` in a copy of the repository, so the working
-tree is never touched.  A mutant the tests fail on (or that runs past the
-timeout) is killed; one they pass on survived, and is printed.
+tree is never touched.  A mutant the tests fail on (or that runs past
+TIMEOUT_S, as a flipped loop bound can) is killed; one they pass on survived,
+and is printed.
 
     python scripts/mutation_audit.py detection gaussian
     python scripts/mutation_audit.py --list detection    # the sites only
@@ -33,6 +34,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "jpatomo"
+TIMEOUT_S = 600.0  # per mutant run
 
 # the tests that exercise each module
 TESTS = {
@@ -135,20 +137,20 @@ def mutant_source(source: str, site: Site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> bool:
-    """True if the tests pass in `copy`; a run past `timeout` counts as a
+def run_tests(copy: Path, tests: list[str]) -> bool:
+    """True if the tests pass in `copy`; a run past TIMEOUT_S counts as a
     failure."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=copy, capture_output=True, timeout=timeout, check=False
+            command, cwd=copy, capture_output=True, timeout=TIMEOUT_S, check=False
         )
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
 
 
-def audit(module: str, copy: Path, timeout: float) -> list[str]:
+def audit(module: str, copy: Path) -> list[str]:
     """The survivors of `module`'s mutants, as printed lines."""
     path = copy / PACKAGE / f"{module}.py"
     source = path.read_text()
@@ -159,7 +161,7 @@ def audit(module: str, copy: Path, timeout: float) -> list[str]:
         for n, site in enumerate(found, 1):
             path.write_text(mutant_source(source, site))
             started = time.perf_counter()
-            passed = run_tests(copy, tests, timeout)
+            passed = run_tests(copy, tests)
             label = f"{module}.py:{site}"
             verdict = "SURVIVED" if passed else "killed"
             print(
@@ -177,9 +179,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", choices=sorted(TESTS))
     parser.add_argument("--list", action="store_true", help="list the sites, run nothing")
-    parser.add_argument(
-        "--timeout", type=float, default=600.0, help="seconds per mutant run (default 600)"
-    )
     parser.add_argument(
         "--workdir", help="where to make the repository copy (default: a temporary directory)"
     )
@@ -200,10 +199,10 @@ def main(argv=None) -> int:
             ),
         )
         for module in args.modules:
-            if not run_tests(copy, TESTS[module], args.timeout):
+            if not run_tests(copy, TESTS[module]):
                 print(f"{module}: the unmutated tests fail; nothing to audit")
                 return 1
-        survivors = [line for module in args.modules for line in audit(module, copy, args.timeout)]
+        survivors = [line for module in args.modules for line in audit(module, copy)]
     print(f"{len(survivors)} survivors")
     for line in survivors:
         print(f"  {line}")

@@ -283,8 +283,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not ok:
             raise ConfigError(message)
     # bytes of the six (bins + 1)^2 int64 cell planes of each pump setting's
-    # histograms, and of one wigner_points^2 float64 grid
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # histograms, and of one wigner_points^2 float64 grid.  Without POSIX
+    # sysconf the bound is skipped: the allocation raises cli.main's MemoryError
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = math.inf
     for key, need in (
         ("bins", 96 * (run.bins + 1) ** 2),
         ("wigner_points", 8 * run.wigner_points**2),
@@ -294,32 +298,33 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"the configuration does not fit in memory: run.{key} = "
                 f"{getattr(run, key)} needs {need} bytes, more than the machine's {memory}"
             )
+
     # build each domain object now so bad physics values fail at load time
-    for section, build in (
-        ("device", cfg.device.build),
-        ("pump", cfg.pump.build),
-        ("pump", cfg.pump.build_anchor),
-        ("detection", cfg.detection.build),
-        ("filter", cfg.filter.build),
-    ):
+    def build(section: str, make):
         try:
-            build()
+            return make()
         except Exception as exc:
             raise ConfigError(f"{section}: {exc}") from exc
+
+    device = build("device", cfg.device.build)
+    pump = build("pump", cfg.pump.build)
+    anchor = build("pump", cfg.pump.build_anchor)
+    build("detection", cfg.detection.build)
+    build("filter", cfg.filter.build)
     try:
-        gain_profile(cfg.pump.build(), cfg.device.build(), cfg.pump.build_anchor())
+        gain_profile(pump, device, anchor)
     except UnstableRegimeError:
         pass  # the scenarios that pump the device report it (exit 3)
     except (ValueError, FloatOverflowError) as exc:
-        # the defaults build, so the pump keys set away from them are at
-        # fault, or else the device's
-        default = PumpSection()
+        # the defaults build, so a pump or device key set away from its
+        # default is at fault; all such keys are named
         keys = [
-            f"pump.{f.name}"
+            f"{section}.{f.name}"
+            for section, default in (("pump", PumpSection()), ("device", DeviceSection()))
             for f in fields(default)
-            if getattr(cfg.pump, f.name) != getattr(default, f.name)
+            if getattr(getattr(cfg, section), f.name) != getattr(default, f.name)
         ]
-        raise ConfigError(f"{', '.join(keys) or 'device'}: {exc}") from exc
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

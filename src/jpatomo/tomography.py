@@ -150,10 +150,10 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     width = 2.0 * half / bins
     if not np.isfinite(width * width):
         raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin width")
-    binning = Binning(lo=-half, hi=half, bins=bins)
-    if not (np.diff(binning.edges) > 0.0).all():
+    # Binning.edges, checked before Binning rejects a range that rounds to 0
+    if not (np.diff(np.linspace(-half, half, bins + 1)) > 0.0).all():
         raise DegenerateReferenceError(f"bin_sigmas = {sigmas!r}: bin edges coincide in float64")
-    return binning
+    return Binning(lo=-half, hi=half, bins=bins)
 
 
 @dataclass

@@ -912,6 +912,11 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
         ('{"run": {"bin_sigmas": 1e308}}', "tomography"),  # the binning range
         ('{"run": {"bin_sigmas": 1e300}}', "tomography"),  # the squared bin width
         ('{"run": {"bin_sigmas": 5e-324}}', "tomography"),  # edges float64 cannot part
+        # a record spread below 1, so the binning range itself rounds to 0
+        (
+            '{"run": {"bin_sigmas": 5e-324}, "detection": {"gain_ch1": 0.01, "gain_ch2": 0.01}}',
+            "tomography",
+        ),
     ],
     ids=[
         "psd-fit",
@@ -920,6 +925,7 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
         "tomography-binning",
         "tomography-bin-width",
         "tomography-bin-edges",
+        "tomography-bin-range",
     ],
 )
 def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
@@ -946,6 +952,33 @@ def test_cli_config_beyond_memory_returns_2(tmp_path, capsys, draws):
         assert "config error: the configuration does not fit in memory" in err
         assert f"run.{key} = {value}" in err
         assert draws == [] and not out.exists()
+
+
+def test_memory_bound_is_skipped_without_posix_sysconf(monkeypatch):
+    # the allocation then fails in the run, as the next test's does
+    monkeypatch.delattr(os, "sysconf")
+    assert parse_config({"run": {"bins": 10**7}}).run.bins == 10**7
+
+
+def test_cli_allocation_beyond_memory_returns_2(tmp_path, capsys):
+    # 10^18 flux points pass load; numpy's MemoryError reaches cli.main
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"run": {"flux_points": 1000000000000000000}}')
+    args = ["--config", str(cfg_path), "--scenario", "flux-sweep", "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "config error: the configuration does not fit in memory (" in capsys.readouterr().err
+
+
+def test_gain_model_error_names_every_key_set_away_from_its_default():
+    # the device keys round the gain bandwidth to 0, and the valid pump key
+    # set next to them is named too
+    data = {
+        "pump": {"power_dbm": -81.0},
+        "device": {"kappa_hz": 5e-324, "gain_bandwidth_const": 1e-3},
+    }
+    keys = r"pump\.power_dbm, device\.kappa_hz, device\.gain_bandwidth_const"
+    with pytest.raises(ConfigError, match=rf"^{keys}: bandwidth must be > 0"):
+        parse_config(data)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
