@@ -96,15 +96,17 @@ def _write_csv(out: _Outputs, name: str, header, columns) -> None:
 
 def _write_histogram_csv(out: _Outputs, name: str, hist) -> None:
     """Rows axis_x, axis_y, n_total, overflow, then the edges_x and edges_y
-    rows of float reprs, then one row of counts per x bin: the csv module's
-    excel dialect (no field needs quoting), written as one string."""
+    rows, each the float reprs of the binning's edges, then one row of
+    counts per x bin: the csv module's excel dialect (no field needs
+    quoting), written as one string."""
+    edges = ",".join(map(repr, hist.binning.edges.tolist()))
     lines = [
         f"axis_x,{hist.labels[0]}\r\n",
         f"axis_y,{hist.labels[1]}\r\n",
         f"n_total,{hist.n_total}\r\n",
         f"overflow,{hist.overflow}\r\n",
-        ",".join(["edges_x", *map(repr, hist.edges_x.tolist())]) + "\r\n",
-        ",".join(["edges_y", *map(repr, hist.edges_y.tolist())]) + "\r\n",
+        f"edges_x,{edges}\r\n",
+        f"edges_y,{edges}\r\n",
     ]
     lines.extend(",".join(map(str, row)) + "\r\n" for row in hist.counts.tolist())
     out.write(name, ["".join(lines)])

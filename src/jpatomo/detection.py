@@ -257,18 +257,13 @@ class RecordBatch:
     keep them; all of them are read-only.
 
     A batch from `measure` is a recipe: it draws nothing until it is read,
-    and `len()` reads nothing.  Every read goes through `_read`: an unread
-    recipe read at the default block size of one 2^14-record cell
+    and `len()` reads nothing.  Every read goes through `_read`, in blocks of
+    _MEASURE_CHUNK records on the global record grid: an unread recipe
     (`chunks()`, the tomography accumulators) is drawn block by block in
-    O(block) memory and drawn again by each such read;
-    `quadratures()`, `s1`, `s2` and a read at any other size draw the store
-    once and keep it.  A caller that reads a batch more than once should
-    call `quadratures()` first.
-
-    The block size changes no result: the tomography accumulators sum cells
-    of tomography._CELL records on the global record grid, so `chunks(size)`
-    at any size, the stored array and the streamed recipe give bit-identical
-    moments and histograms.
+    O(block) memory and drawn again by each such read; `quadratures()`,
+    `s1` and `s2` draw the store once and keep it.  A caller that reads a
+    batch more than once should call `quadratures()` first.  The stored
+    array and the streamed recipe give bit-identical moments and histograms.
     """
 
     __slots__ = ("_store", "_recipe", "_lock")
@@ -322,16 +317,16 @@ class RecordBatch:
         return self._store.shape[0] if self._recipe is None else self._recipe.n
 
     def _read(
-        self, worker: Executor | None = None, size: int | None = None, keep: bool = False
+        self, worker: Executor | None = None, keep: bool = False
     ) -> Iterator[NDArray[np.float64]]:
-        """Read-only blocks of at most `size` records (default _MEASURE_CHUNK).
+        """Read-only blocks of _MEASURE_CHUNK records on the global grid.
 
-        An unread recipe at the default size is drawn one block at a time by
-        a record pass on `worker` (a one-thread executor; None: one of the
-        pass's own), whose blocks are lent (see _record_blocks) unless `keep`
-        asks for copies; anything else is sliced from the store.
+        An unread recipe is drawn one block at a time by a record pass on
+        `worker` (a one-thread executor; None: one of the pass's own), whose
+        blocks are lent (see _record_blocks) unless `keep` asks for copies;
+        a store is sliced.
         """
-        if self._store is None and size in (None, _MEASURE_CHUNK):
+        if self._store is None:
             source, config, n, seed = self._recipe
             with contextlib.closing(
                 _record_blocks((source,), config, n, seed, worker=worker)
@@ -342,10 +337,8 @@ class RecordBatch:
                     block.setflags(write=False)
                     yield block
             return
-        store = self.quadratures()
-        size = size or _MEASURE_CHUNK
-        for start in range(0, len(store), size):
-            yield store[start : start + size]
+        for start in range(0, len(self._store), _MEASURE_CHUNK):
+            yield self._store[start : start + _MEASURE_CHUNK]
 
     def quadratures(self) -> NDArray[np.float64]:
         """Measured quadratures as columns (X1, P1, X2, P2)."""
@@ -363,19 +356,11 @@ class RecordBatch:
                 self._store = store
         return self._store
 
-    def chunks(self, size: int | None = None) -> Iterator[NDArray[np.float64]]:
-        """Quadrature blocks of at most `size` records (default _MEASURE_CHUNK).
-
-        `size` must be an integer >= 1 (ValueError otherwise); it is checked
-        before anything is drawn.  Every block holds its records for good:
-        a block drawn from an unread recipe is a copy of the pass's lent
-        block, so `list(chunks())` holds all the records.
-        """
-        if size is not None:
-            size = operator.index(size)
-            if size < 1:
-                raise ValueError(f"chunk size must be >= 1, got {size}")
-        return self._read(size=size, keep=True)
+    def chunks(self) -> Iterator[NDArray[np.float64]]:
+        """Quadrature blocks of _MEASURE_CHUNK records, each holding its
+        records for good: a block drawn from an unread recipe is a copy of
+        the pass's lent block, so `list(chunks())` holds all the records."""
+        return self._read(keep=True)
 
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
@@ -388,15 +373,10 @@ class RecordBatch:
 
 
 def _blocks_of(records, worker: Executor | None = None) -> Iterator[NDArray[np.float64]]:
-    """Quadrature blocks of a RecordBatch (see RecordBatch._read) or of an
-    (n, 4) array, which is one block."""
-    if isinstance(records, RecordBatch):
-        yield from records._read(worker)
-        return
-    arr = np.asarray(records, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise TypeError("records must be a RecordBatch or an (n, 4) quadrature array")
-    yield arr  # the accumulators walk it in cache-sized pieces
+    """The quadrature blocks of a RecordBatch (see RecordBatch._read)."""
+    if not isinstance(records, RecordBatch):
+        raise TypeError(f"records must be a RecordBatch, not {type(records).__name__}")
+    return records._read(worker)
 
 
 def _paired_blocks(

@@ -81,6 +81,8 @@ class Binning:
             raise ValueError("binning range must have hi > lo")
         if self.bins < 2:
             raise ValueError("need at least 2 bins per axis")
+        if not (np.diff(self.edges) > 0.0).all():
+            raise ValueError("bin edges coincide in float64")
 
     @property
     def edges(self) -> NDArray[np.float64]:
@@ -131,7 +133,7 @@ def auto_binning(
 
     Only the blocks that hold the prefix are read.
     """
-    with contextlib.closing(batch._read()) as blocks:
+    with contextlib.closing(_blocks_of(batch)) as blocks:
         binning, _ = _binning_from_head(zip(blocks), bins, sigmas, prefix_records)
     return binning
 
@@ -150,23 +152,24 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     width = 2.0 * half / bins
     if not np.isfinite(width * width):
         raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin width")
-    # Binning.edges, checked before Binning rejects a range that rounds to 0
-    if not (np.diff(np.linspace(-half, half, bins + 1)) > 0.0).all():
-        raise DegenerateReferenceError(f"bin_sigmas = {sigmas!r}: bin edges coincide in float64")
-    return Binning(lo=-half, hi=half, bins=bins)
+    try:
+        return Binning(lo=-half, hi=half, bins=bins)
+    except ValueError as exc:  # a range that rounds to 0, or edges that coincide
+        if bins < 2:
+            raise
+        raise DegenerateReferenceError(f"bin_sigmas = {sigmas!r}: {exc}") from exc
 
 
 @dataclass
 class Histogram2D:
-    """Counts of one quadrature pair on a rectangular grid.
+    """Counts of one quadrature pair on the square grid of `binning`.
 
     Records falling outside either axis range are tallied in `overflow`, so
     counts.sum() + overflow == n_total always holds.
     """
 
     labels: tuple[str, str]
-    edges_x: NDArray[np.float64]
-    edges_y: NDArray[np.float64]
+    binning: Binning
     counts: NDArray[np.int64]
     n_total: int = 0
     overflow: int = 0
@@ -174,11 +177,8 @@ class Histogram2D:
     def __post_init__(self) -> None:
         if tuple(self.labels) not in PAIR_LABELS:
             raise ValueError(f"unknown axis pair {self.labels!r}")
-        for edges in (self.edges_x, self.edges_y):
-            if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0):
-                raise ValueError("edges must be strictly increasing, >= 2 bins")
-        if self.counts.shape != (self.edges_x.size - 1, self.edges_y.size - 1):
-            raise ValueError("counts shape does not match edges")
+        if self.counts.shape != (self.binning.bins, self.binning.bins):
+            raise ValueError("counts shape does not match the binning")
         if np.any(self.counts < 0) or self.overflow < 0:
             raise ValueError("counts must be non-negative")
         if int(self.counts.sum()) + self.overflow != self.n_total:
@@ -186,22 +186,16 @@ class Histogram2D:
 
     @classmethod
     def empty(cls, labels: tuple[str, str], binning: Binning) -> "Histogram2D":
-        edges = binning.edges
-        n = binning.bins
-        return cls(labels, edges, edges.copy(), np.zeros((n, n), np.int64))
+        return cls(labels, binning, np.zeros((binning.bins, binning.bins), np.int64))
 
     def merge(self, other: "Histogram2D") -> "Histogram2D":
         if tuple(self.labels) != tuple(other.labels):
             raise ValueError("cannot merge histograms of different axis pairs")
-        if not (
-            np.array_equal(self.edges_x, other.edges_x)
-            and np.array_equal(self.edges_y, other.edges_y)
-        ):
-            raise ValueError("cannot merge histograms with different edges")
+        if self.binning != other.binning:
+            raise ValueError("cannot merge histograms with different binnings")
         return Histogram2D(
             self.labels,
-            self.edges_x,
-            self.edges_y,
+            self.binning,
             self.counts + other.counts,
             self.n_total + other.n_total,
             self.overflow + other.overflow,
@@ -272,13 +266,12 @@ class HistogramAccumulator:
         pair's cells are its overflow."""
         nbins = self.binning.bins
         side = nbins + 1
-        edges = self.binning.edges
         hists = {}
         for pair, cells in zip(PAIR_LABELS, self._cells):
             counts = cells.reshape(side, side)[:nbins, :nbins].copy()
             n_total = int(cells.sum())
             overflow = n_total - int(counts.sum())
-            hists[pair] = Histogram2D(pair, edges, edges.copy(), counts, n_total, overflow)
+            hists[pair] = Histogram2D(pair, self.binning, counts, n_total, overflow)
         return hists
 
     def fold(self) -> tuple[MomentSet, dict[tuple[str, str], Histogram2D]]:
@@ -286,11 +279,8 @@ class HistogramAccumulator:
         hists = self.histograms()
         return moment_set_from_histograms(hists), hists
 
-    def finalize(self) -> MomentSet:
-        return self.fold()[0]
 
-
-def _accumulate(accumulator, records):
+def _accumulate(accumulator, records: RecordBatch):
     """`accumulator` updated with every quadrature block of `records`."""
     with contextlib.closing(_blocks_of(records)) as blocks:
         for block in blocks:
@@ -298,7 +288,7 @@ def _accumulate(accumulator, records):
     return accumulator
 
 
-def accumulate_histograms(records, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
+def accumulate_histograms(records: RecordBatch, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
     return _accumulate(HistogramAccumulator(binning), records).histograms()
 
@@ -325,18 +315,17 @@ def moments_from_histogram(h: Histogram2D) -> HistogramMoments:
         raise RangeTooSmallError(
             f"{h.overflow}/{h.n_total} records overflow the histogram range"
         )
-    cx = 0.5 * (h.edges_x[:-1] + h.edges_x[1:])
-    cy = 0.5 * (h.edges_y[:-1] + h.edges_y[1:])
-    wx = float(np.mean(np.diff(h.edges_x)))
-    wy = float(np.mean(np.diff(h.edges_y)))
+    edges = h.binning.edges
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    sheppard = float(np.mean(np.diff(edges))) ** 2 / 12.0
     counts = h.counts.astype(np.float64)
     col = counts.sum(axis=1)
     row = counts.sum(axis=0)
-    mean_x = float(col @ cx) / inside
-    mean_y = float(row @ cy) / inside
-    var_x = float(col @ (cx - mean_x) ** 2) / inside - wx**2 / 12.0
-    var_y = float(row @ (cy - mean_y) ** 2) / inside - wy**2 / 12.0
-    cov = float((cx - mean_x) @ counts @ (cy - mean_y)) / inside
+    mean_x = float(col @ centres) / inside
+    mean_y = float(row @ centres) / inside
+    var_x = float(col @ (centres - mean_x) ** 2) / inside - sheppard
+    var_y = float(row @ (centres - mean_y) ** 2) / inside - sheppard
+    cov = float((centres - mean_x) @ counts @ (centres - mean_y)) / inside
     return HistogramMoments(
         mean_x, mean_y, max(var_x, 0.0), max(var_y, 0.0), cov
     )
@@ -469,7 +458,7 @@ class MomentAccumulator:
         return MomentSet(mean, 0.5 * (cov + cov.T), self.n)
 
 
-def accumulate_moments(records) -> MomentSet:
+def accumulate_moments(records: RecordBatch) -> MomentSet:
     return _accumulate(MomentAccumulator(), records).finalize()
 
 
@@ -857,10 +846,9 @@ def _binning_from_head(blocks, bins: int, sigmas: float, prefix_records: int):
     return _prefix_binning(prefix[:m], bins, sigmas), chain(iter(head), blocks)
 
 
-def _add_pairs(blocks, add_on, add_off, worker: Executor | None) -> None:
+def _add_pairs(blocks, add_on, add_off, worker: Executor) -> None:
     """add_on(on) on this thread and add_off(off) on `worker`, one thread
-    that runs its tasks in order (None: one owned by this call), for each
-    (on, off) block pair.
+    that runs its tasks in order, for each (on, off) block pair.
 
     add_off(off) is checked when the next pair has arrived, so this thread
     goes on to draw that pair while the worker adds the pump-off block.  A
@@ -873,18 +861,15 @@ def _add_pairs(blocks, add_on, add_off, worker: Executor | None) -> None:
     it.
     """
     pending = None
-    with contextlib.ExitStack() as stack:
-        if worker is None:
-            worker = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-        try:
-            for on, off in blocks:
-                if pending is not None:
-                    pending.result()
-                pending = worker.submit(add_off, off)
-                add_on(on)
-        finally:
+    try:
+        for on, off in blocks:
             if pending is not None:
-                wait([pending])
+                pending.result()
+            pending = worker.submit(add_off, off)
+            add_on(on)
+    finally:
+        if pending is not None:
+            wait([pending])
     if pending is not None:
         pending.result()
 
@@ -897,7 +882,7 @@ def estimate_from_blocks(
     bin_sigmas: float = 6.0,
     prefix_records: int = 10_000,
     *,
-    worker: Executor | None = None,
+    worker: Executor,
 ) -> EstimationResult:
     """Reconstruct the state in one pass over paired (pump-on, pump-off)
     (m, 4) quadrature blocks.
@@ -910,8 +895,7 @@ def estimate_from_blocks(
     copies of all but the last two blocks the prefix spans.
 
     `worker` is an executor with one thread that runs its tasks in order,
-    shared with the `_record_blocks` pass that draws `blocks` (None: the
-    estimate owns one).  The worker adds each pump-off block while this
+    shared with the `_record_blocks` pass that draws `blocks`.  The worker adds each pump-off block while this
     thread adds the pump-on block and then draws the next one (see
     _add_pairs), so a histogram, whose `np.add.at` holds the GIL, runs beside
     a draw, which releases it, not beside the other histogram.  Integer

@@ -64,6 +64,11 @@ def batch_from_quadratures(q):
     return RecordBatch(q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3])
 
 
+def batch_of(q):
+    """The (n, 4) quadratures `q` as a stored RecordBatch of a copy."""
+    return RecordBatch._wrap(np.array(q, dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
 # binning
 
@@ -84,6 +89,10 @@ def test_binning_index_rule_includes_upper_edge():
 def test_binning_validation():
     with pytest.raises(ValueError):
         Binning(1.0, 1.0)
+    with pytest.raises(ValueError, match="hi > lo"):
+        Binning(1.0, -1.0, 4)
+    with pytest.raises(ValueError, match="edges coincide"):
+        Binning(0.0, 5e-324, 4)
     with pytest.raises(ValueError):
         Binning(0.0, 1.0, bins=1)
     with pytest.raises(ValueError):
@@ -124,7 +133,7 @@ def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draw
 
 
 def test_accumulate_empty_records():
-    hists = accumulate_histograms(np.empty((0, 4)), Binning(-1, 1, 8))
+    hists = accumulate_histograms(batch_of(np.empty((0, 4))), Binning(-1, 1, 8))
     assert set(hists) == set(PAIR_LABELS)
     for h in hists.values():
         assert h.counts.sum() == 0 and h.n_total == 0 and h.overflow == 0
@@ -134,7 +143,7 @@ def test_accumulate_single_record_lands_once_per_pair():
     b = Binning(-1.0, 1.0, bins=8)
     # bin centers at -0.875 + k * 0.25; put each axis in a distinct bin
     q = np.array([[-0.875, -0.625, 0.125, 0.875]])
-    hists = accumulate_histograms(q, b)
+    hists = accumulate_histograms(batch_of(q), b)
     for pair, h in hists.items():
         assert h.counts.sum() == 1 and h.n_total == 1 and h.overflow == 0
     assert hists[("X1", "P1")].counts[0, 1] == 1
@@ -145,7 +154,7 @@ def test_accumulate_single_record_lands_once_per_pair():
 def test_accumulate_counts_overflow():
     b = Binning(-1.0, 1.0, bins=4)
     q = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 5.0, 0.0]])
-    hists = accumulate_histograms(q, b)
+    hists = accumulate_histograms(batch_of(q), b)
     # record 2 overflows any pair touching X1, record 3 any pair touching X2
     assert hists[("X1", "P1")].overflow == 1
     assert hists[("X1", "X2")].overflow == 2
@@ -170,10 +179,10 @@ def test_histogram_merge_is_bin_exact_across_shards():
     # adds up, shard by shard
     q[5_000:5_003, 0] = 2.0 * binning.hi
     q[39_990, 3] = 2.0 * binning.lo
-    whole = accumulate_histograms(q, binning)
+    whole = accumulate_histograms(batch_of(q), binning)
     assert whole[("X1", "P1")].overflow == 3 and whole[("X2", "P2")].overflow == 1
     shards = [
-        accumulate_histograms(q[k * 5000 : (k + 1) * 5000], binning) for k in range(8)
+        accumulate_histograms(batch_of(q[k * 5000 : (k + 1) * 5000]), binning) for k in range(8)
     ]
     for pair in PAIR_LABELS:
         merged = shards[0][pair]
@@ -286,8 +295,8 @@ def test_accumulators_check_their_blocks_alike(make):
         with pytest.raises(ValueError, match=r"block must be \(n, 4\)"):
             make().update(bad)
     # a list of rows is read as the array it spells
-    got = make().update([[0.0] * 4] * 3).finalize()
-    want = make().update(np.zeros((3, 4))).finalize()
+    got = make().update([[0.0] * 4] * 3).fold()[0]
+    want = make().update(np.zeros((3, 4))).fold()[0]
     assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
     assert got.n == want.n == 3
 
@@ -303,7 +312,7 @@ def test_far_out_of_range_values_are_overflow_without_a_warning():
     q[5, 2] = 1e19  # scales past the largest int64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        hists = accumulate_histograms(q, binning)
+        hists = accumulate_histograms(batch_of(q), binning)
     outside = np.abs(q) > 1.0
     for pair, h in hists.items():
         a, b = tomography._AXIS_INDEX[pair[0]], tomography._AXIS_INDEX[pair[1]]
@@ -319,7 +328,8 @@ def _threaded_estimate_matches_serial_kernel(seed):
     on = measure(state, cfg, 80_000, seed=seed).quadratures()
     off = measure(state, cfg, 80_000, seed=seed, pump_on=False).quadratures()
     pairs = ((on[k : k + 997], off[k : k + 997]) for k in range(0, 80_000, 997))
-    est = estimate_from_blocks(pairs, cfg.noise_pair)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        est = estimate_from_blocks(pairs, cfg.noise_pair, worker=worker)
     # a recipe pair: the worker also builds the pump-off records
     fused = estimate_state(
         measure(state, cfg, 80_000, seed=seed),
@@ -342,14 +352,15 @@ def _threaded_estimate_matches_serial_kernel(seed):
             )
     # the streaming method: serial moment sums are the reference
     pairs = ((on[k : k + 997], off[k : k + 997]) for k in range(0, 80_000, 997))
-    streamed = estimate_from_blocks(pairs, cfg.noise_pair, method="streaming")
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        streamed = estimate_from_blocks(pairs, cfg.noise_pair, method="streaming", worker=worker)
     fused_streamed = estimate_state(
         measure(state, cfg, 80_000, seed=seed),
         measure(state, cfg, 80_000, seed=seed, pump_on=False),
         cfg.noise_pair,
         method="streaming",
     )
-    raw_on, raw_off = accumulate_moments(on), accumulate_moments(off)
+    raw_on, raw_off = accumulate_moments(batch_of(on)), accumulate_moments(batch_of(off))
     scales = calibrate(raw_off, cfg.noise_pair)
     for est in (streamed, fused_streamed):
         assert est.tomography.scale_factors == scales
@@ -386,7 +397,7 @@ def test_estimate_state_rejects_non_finite_records(method, row, setting, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteRecordError):
-            estimate_state(on, off, cfg.noise_pair, method=method)
+            estimate_state(batch_of(on), batch_of(off), cfg.noise_pair, method=method)
 
 
 def test_auto_binning_and_moments_reject_non_finite_records():
@@ -397,9 +408,24 @@ def test_auto_binning_and_moments_reject_non_finite_records():
     with pytest.raises(NonFiniteRecordError):
         auto_binning(batch_from_quadratures(q))
     with pytest.raises(NonFiniteRecordError):
-        accumulate_histograms(q, Binning(-2.0, 2.0, 8))
+        accumulate_histograms(batch_of(q), Binning(-2.0, 2.0, 8))
     with pytest.raises(NonFiniteRecordError):
-        accumulate_moments(q)
+        accumulate_moments(batch_of(q))
+
+
+def test_batch_readers_take_a_record_batch_only(draws):
+    q = np.zeros((10, 4))
+    batch = measure(vacuum_state(2), DetectionConfig(), 10, seed=1)
+    for read in (
+        lambda: auto_binning(q),
+        lambda: accumulate_histograms(q, Binning(-1.0, 1.0, 8)),
+        lambda: accumulate_moments(q),
+        lambda: estimate_state(q, q, 69.0),
+        lambda: estimate_state(batch, q, 69.0),
+    ):
+        with pytest.raises(TypeError, match="records must be a RecordBatch, not ndarray"):
+            read()
+    assert draws == []
 
 
 def test_histogram_merge_rejects_mismatches():
@@ -416,21 +442,17 @@ def test_histogram_merge_rejects_mismatches():
 def test_histogram_invariant_enforced():
     b = Binning(-1, 1, 4)
     with pytest.raises(ValueError):
-        Histogram2D(("X1", "P1"), b.edges, b.edges, np.ones((4, 4), np.int64), n_total=3)
+        Histogram2D(("X1", "P1"), b, np.ones((4, 4), np.int64), n_total=3)
     with pytest.raises(ValueError):
-        Histogram2D(("X1", "Q9"), b.edges, b.edges, np.zeros((4, 4), np.int64))
-    with pytest.raises(ValueError, match="edges"):
-        Histogram2D(("X1", "P1"), b.edges[::-1], b.edges, np.zeros((4, 4), np.int64))
-    with pytest.raises(ValueError, match="edges"):
-        Histogram2D(("X1", "P1"), b.edges[:2], b.edges, np.zeros((1, 4), np.int64))
+        Histogram2D(("X1", "Q9"), b, np.zeros((4, 4), np.int64))
     with pytest.raises(ValueError, match="counts shape"):
-        Histogram2D(("X1", "P1"), b.edges, b.edges, np.zeros((4, 3), np.int64))
+        Histogram2D(("X1", "P1"), b, np.zeros((4, 3), np.int64))
     counts = np.zeros((4, 4), np.int64)
     counts[0, 0] = -1
     with pytest.raises(ValueError, match="non-negative"):
-        Histogram2D(("X1", "P1"), b.edges, b.edges, counts, n_total=0, overflow=1)
+        Histogram2D(("X1", "P1"), b, counts, n_total=0, overflow=1)
     with pytest.raises(ValueError, match="non-negative"):
-        Histogram2D(("X1", "P1"), b.edges, b.edges, np.zeros((4, 4), np.int64), overflow=-1)
+        Histogram2D(("X1", "P1"), b, np.zeros((4, 4), np.int64), overflow=-1)
 
 
 def _csv_module_histogram(h: Histogram2D) -> bytes:
@@ -441,8 +463,8 @@ def _csv_module_histogram(h: Histogram2D) -> bytes:
     writer.writerow(("axis_y", h.labels[1]))
     writer.writerow(("n_total", h.n_total))
     writer.writerow(("overflow", h.overflow))
-    writer.writerow(["edges_x"] + [repr(e) for e in h.edges_x.tolist()])
-    writer.writerow(["edges_y"] + [repr(e) for e in h.edges_y.tolist()])
+    writer.writerow(["edges_x"] + [repr(e) for e in h.binning.edges.tolist()])
+    writer.writerow(["edges_y"] + [repr(e) for e in h.binning.edges.tolist()])
     writer.writerows(h.counts.tolist())
     return text.getvalue().encode()
 
@@ -472,7 +494,7 @@ def test_histogram_serialization(tmp_path):
 def test_moments_single_loaded_bin_clamps_variance():
     b = Binning(-1.0, 1.0, bins=8)
     q = np.tile([[0.13, 0.13, 0.13, 0.13]], (10, 1))
-    h = accumulate_histograms(q, b)[("X1", "P1")]
+    h = accumulate_histograms(batch_of(q), b)[("X1", "P1")]
     m = moments_from_histogram(h)
     assert m.var_x == 0.0 and m.var_y == 0.0
     assert abs(m.mean_x - 0.125) < 1e-12  # center of the containing bin
@@ -482,7 +504,7 @@ def test_moments_two_point_mass():
     b = Binning(-1.0, 1.0, bins=8)  # centers at +-0.875, ..., +-0.125
     a = 0.625
     q = np.array([[a, a, a, a], [-a, -a, -a, -a]] * 50, dtype=float)
-    m = moments_from_histogram(accumulate_histograms(q, b)[("X1", "X2")])
+    m = moments_from_histogram(accumulate_histograms(batch_of(q), b)[("X1", "X2")])
     assert abs(m.var_x - a**2) <= b.width**2 / 12.0 + 1e-12
     assert abs(m.mean_x) < 1e-12
 
@@ -493,7 +515,7 @@ def test_moments_gaussian_matches_unbinned_tolerance():
     sigma = q[:, 0].std()
     bins = int(np.ceil(12.0 * sigma / (sigma / 5.0)))  # width = sigma/5
     b = Binning(-6.0 * sigma, 6.0 * sigma, bins)
-    m = moments_from_histogram(accumulate_histograms(q, b)[("X1", "P1")])
+    m = moments_from_histogram(accumulate_histograms(batch_of(q), b)[("X1", "P1")])
     raw = q[:, 0].var()
     assert abs(m.var_x - raw) / raw < 0.003
 
@@ -502,7 +524,7 @@ def test_moments_overflow_gate():
     b = Binning(-1.0, 1.0, bins=8)
     q = np.zeros((100, 4))
     q[:2, 0] = 5.0  # 2% of records out of range on X1
-    h = accumulate_histograms(q, b)[("X1", "P1")]
+    h = accumulate_histograms(batch_of(q), b)[("X1", "P1")]
     with pytest.raises(RangeTooSmallError):
         moments_from_histogram(h)
 
@@ -530,7 +552,7 @@ def test_sheppard_correction_matches_streaming_at_default_binning():
 def test_moment_accumulator_matches_numpy():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((10_000, 4)) @ np.diag([1.0, 2.0, 3.0, 4.0])
-    ms = accumulate_moments(q)
+    ms = accumulate_moments(batch_of(q))
     np.testing.assert_allclose(ms.mean, q.mean(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(ms.cov, np.cov(q.T, bias=True), rtol=1e-9, atol=1e-12)
     assert ms.n == 10_000
@@ -541,7 +563,7 @@ def test_array_and_record_batch_moments_share_the_block_grid(monkeypatch):
     state = two_mode_squeeze(vacuum_state(2), 1.0)
     batch = measure(state, DetectionConfig(), 3 * 4096 + 7, seed=8)
     streamed = accumulate_moments(batch)
-    stored = accumulate_moments(batch.quadratures())
+    stored = accumulate_moments(RecordBatch._wrap(batch.quadratures()))
     assert np.array_equal(streamed.mean, stored.mean)
     assert np.array_equal(streamed.cov, stored.cov)
 
@@ -1128,22 +1150,17 @@ def test_moments_do_not_depend_on_the_block_size(monkeypatch, size):
     args = dict(config=_LOW_NOISE, n=_GRID_N, seed=20261018)
     stored_on = measure(state, pump_on=True, **args).quadratures()
     stored_off = measure(state, pump_on=False, **args).quadratures()
-    want = accumulate_moments(stored_on)
+    want = accumulate_moments(batch_of(stored_on))
 
     acc = MomentAccumulator()
     for lo in range(0, _GRID_N, size):
         acc.update(stored_on[lo : lo + size])
     assert _same_moments(acc.finalize(), want)
 
-    chunked = MomentAccumulator()
-    for block in RecordBatch._wrap(stored_on.copy()).chunks(size):
-        chunked.update(block)
-    assert _same_moments(chunked.finalize(), want)
-
     # the record engine drawing a fused pair in blocks of `size`; each block
     # costs a few thread handoffs, so the tiny blocks draw a short prefix
     n = _GRID_N if size > 3 else 4099
-    stored = _estimate_or_error(stored_on[:n], stored_off[:n], "streaming")
+    stored = _estimate_or_error(batch_of(stored_on[:n]), batch_of(stored_off[:n]), "streaming")
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", size)
     args["n"] = n
     fused = _estimate_or_error(
