@@ -14,30 +14,20 @@ It root-finds with scipy's brentq, so it needs the `test` extra
 
 import dataclasses
 
-import numpy as np
 from scipy.optimize import brentq
 
-from jpatomo.detection import design_filter, predicted_r
-from jpatomo.device import (
-    DEFAULT_DEVICE,
-    DEFAULT_GAIN_ANCHOR,
-    DEFAULT_PUMP,
-    gain_profile,
-)
+from jpatomo.config import default_config
+from jpatomo.detection import predicted_r
+from jpatomo.device import gain_profile
 
 TARGET_R = 1.75
+DEFAULTS = default_config()
 
 
 def r_for_constant(c: float) -> float:
-    device = dataclasses.replace(DEFAULT_DEVICE, gain_bandwidth_const=c)
-    profile = gain_profile(DEFAULT_PUMP, device, DEFAULT_GAIN_ANCHOR)
-    filt = design_filter(
-        offset=2.0 * np.pi * 5.0e6,
-        shape="raised-cosine-notch",
-        width=2.0 * np.pi * 4.0e6,
-        grid_points=2001,
-    )
-    return predicted_r(filt, profile)
+    device = dataclasses.replace(DEFAULTS.device, gain_bandwidth_const=c).build()
+    profile = gain_profile(DEFAULTS.pump.build(), device, DEFAULTS.pump.build_anchor())
+    return predicted_r(DEFAULTS.filter.build(), profile)
 
 
 def main() -> None:

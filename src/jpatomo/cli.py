@@ -31,13 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    SCENARIOS,
-    ExperimentConfig,
-    default_config,
-    dumps_config,
-    load_config,
-)
+from .config import SCENARIOS, ExperimentConfig, dumps_config, load_config, parse_config
 from .detection import _paired_blocks, measure, output_two_mode_state, predicted_r
 from .device import fit_psd, gain, gain_profile, psd, reflection, resonance_frequency
 from .errors import ConfigError, FloatOverflowError, NumericsError
@@ -429,20 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        overrides = {}
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            overrides["seed"] = args.seed
-        if args.records is not None:
-            if args.records < 0:
-                raise ConfigError("--records must be >= 0")
-            overrides["n_records"] = args.records
-        if overrides:
-            cfg = dataclasses.replace(
-                cfg, run=dataclasses.replace(cfg.run, **overrides)
-            )
+        run = {"seed": args.seed, "n_records": args.records}
+        run = {"run": {key: value for key, value in run.items() if value is not None}}
+        cfg = load_config(args.config, run) if args.config else parse_config({}, run)
         manifest = run_scenario(args.scenario, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -219,8 +219,9 @@ def _coerce(section: str, name: str, value):
     return _number(path, value)
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    """Strict dict -> config: unknown keys and bad types are ConfigErrors."""
+def parse_config(data: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Strict dict -> config: unknown keys and bad types are ConfigErrors.
+    `overrides` maps a section to keys set over data's, checked with them."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     body = dict(data)
@@ -238,6 +239,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raw = body.get(section, {})
         if not isinstance(raw, dict):
             raise ConfigError(f"{section}: expected a JSON object")
+        raw = {**raw, **(overrides or {}).get(section, {})}
         known = {f.name for f in fields(cls)}
         bad = set(raw) - known - _RETIRED_KEYS.get(section, set())
         if bad:
@@ -282,21 +284,30 @@ def _validate(cfg: ExperimentConfig) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    # bytes of the six (bins + 1)^2 int64 cell planes of each pump setting's
-    # histograms, and of one wigner_points^2 float64 grid.  Without POSIX
-    # sysconf the bound is skipped: the allocation raises cli.main's MemoryError
+    # bytes of what a count sizes: 2 x 6 int64 histogram cell planes, one
+    # float64 Wigner grid, else the tracemalloc slope per unit (filter, arrays
+    # and CSV lines, buffered prefix records).  Without POSIX sysconf the bound
+    # is skipped: the allocation raises cli.main's MemoryError
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         memory = math.inf
-    for key, need in (
-        ("bins", 96 * (run.bins + 1) ** 2),
-        ("wigner_points", 8 * run.wigner_points**2),
+    head = min(run.prefix_records, run.n_records) if run.method == "histogram" else 0
+    powers = len(run.gain_map_powers_dbm)
+    for key, value, need in (
+        ("run.bins", run.bins, 96 * (run.bins + 1) ** 2),
+        ("run.wigner_points", run.wigner_points, 8 * run.wigner_points**2),
+        ("filter.grid_points", cfg.filter.grid_points, 96 * cfg.filter.grid_points),
+        ("run.psd_points", run.psd_points, 329 * run.psd_points),
+        ("run.flux_points", run.flux_points, 248 * run.flux_points),
+        ("run.reflection_points", run.reflection_points, 367 * run.reflection_points),
+        ("run.gain_points", run.gain_points, 302 * powers * run.gain_points),
+        ("run.prefix_records", run.prefix_records, 127 * head),
     ):
         if need > memory:
             raise ConfigError(
-                f"the configuration does not fit in memory: run.{key} = "
-                f"{getattr(run, key)} needs {need} bytes, more than the machine's {memory}"
+                f"the configuration does not fit in memory: {key} = {value} needs "
+                f"{need} bytes, more than the machine's {memory}"
             )
 
     # build each domain object now so bad physics values fail at load time
@@ -311,20 +322,22 @@ def _validate(cfg: ExperimentConfig) -> None:
     anchor = build("pump", cfg.pump.build_anchor)
     build("detection", cfg.detection.build)
     build("filter", cfg.filter.build)
-    try:
-        gain_profile(pump, device, anchor)
-    except UnstableRegimeError:
-        pass  # the scenarios that pump the device report it (exit 3)
-    except (ValueError, FloatOverflowError) as exc:
-        # the defaults build, so a pump or device key set away from its
-        # default is at fault; all such keys are named
-        keys = [
-            f"{section}.{f.name}"
-            for section, default in (("pump", PumpSection()), ("device", DeviceSection()))
-            for f in fields(default)
-            if getattr(getattr(cfg, section), f.name) != getattr(default, f.name)
-        ]
-        raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
+    # the defaults build, so a pump or device key set away from its default
+    # is at fault, or the gain-map power the profile is for; all are named
+    changed = [
+        f"{section}.{f.name}"
+        for section, default in (("pump", PumpSection()), ("device", DeviceSection()))
+        for f in fields(default)
+        if getattr(getattr(cfg, section), f.name) != getattr(default, f.name)
+    ]
+    for k, power in enumerate((pump.power_dbm, *run.gain_map_powers_dbm)):
+        try:
+            gain_profile(replace(pump, power_dbm=power), device, anchor)
+        except UnstableRegimeError:
+            pass  # the scenarios that pump the device report it (exit 3)
+        except (ValueError, FloatOverflowError) as exc:
+            keys = changed + ["run.gain_map_powers_dbm"] * (k > 0)
+            raise ConfigError(f"{', '.join(keys)}: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -343,13 +356,13 @@ def dumps_config(cfg: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(data)
+    return parse_config(data, overrides)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -48,6 +48,8 @@ _NORMALIZATION_TOL = 1e-10
 _MEASURE_CHUNK = 1 << 14
 # Rows per period of a tiled per-column vector (see _columnwise).
 _TILE_ROWS = 1 << 8
+# The magnitudes whose square, and twice it, float64 holds as a normal number
+_SQUARE_MIN, _SQUARE_MAX = np.sqrt([np.finfo(float).tiny, np.finfo(float).max / 2.0])
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,8 @@ def design_filter(
     1 - exp(-delta^2 / (2 sigma_n^2)), sigma_n = width / 20).  The grid is
     uniform and symmetric, spans +-span (default offset + 3 width, the
     minimum accepted), and grid_points is rounded up to an odd count so a
-    node sits exactly at delta = 0.
+    node sits exactly at delta = 0.  float64 must square sigma_n, the span
+    and their ratio, as the notch factor does (ValueError otherwise).
     """
     if width <= 0:
         raise ValueError("width must be > 0")
@@ -139,6 +142,9 @@ def design_filter(
         raise InvalidGridError(
             f"grid span {span} too narrow; need at least offset + 3*width = {min_span}"
         )
+    sigma_n = width / 20.0
+    if not (_SQUARE_MIN <= sigma_n and span <= _SQUARE_MAX and span / sigma_n <= _SQUARE_MAX):
+        raise ValueError(f"float64 cannot square width {width!r} or span {span!r}")
     n = int(grid_points)
     if n < 3:
         raise ValueError("grid_points must be >= 3")
@@ -153,7 +159,6 @@ def design_filter(
     if shape == "boxcar-notch":
         w = np.where(np.abs(u) <= 1.0, 1.0, 0.0)
     else:
-        sigma_n = width / 20.0
         taper = np.where(np.abs(u) <= 1.0, np.cos(np.pi * u / 2.0) ** 2, 0.0)
         w = taper * (1.0 - np.exp(-(grid**2) / (2.0 * sigma_n**2)))
     w[half] = 0.0  # pump bin carries an exact zero

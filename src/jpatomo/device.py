@@ -30,6 +30,10 @@ TWO_PI = 2.0 * np.pi
 # 1 + (c_gb * kappa / (2 offset))^2, so c_gb = 1 cannot reach that target.
 GAIN_BANDWIDTH_CONST = 1.1481518224756206
 
+# fit_psd's bandwidth grid starts at 1e-9 of the psd scenario's span 6 B and
+# takes 1 / b^2, finite for B >= 1 / (6e-9 sqrt(max)); twice that for rounding
+MIN_BANDWIDTH = 2.0 / (6e-9 * math.sqrt(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -93,7 +97,8 @@ DEFAULT_GAIN_ANCHOR = GainAnchor()
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Lorentzian gain profile: peak g0 (power gain), full bandwidth, pump."""
+    """Lorentzian gain profile: peak g0 (power gain), full bandwidth (rad/s,
+    at least MIN_BANDWIDTH, about 2.5e-146), pump."""
 
     g0: float
     bandwidth: float
@@ -104,6 +109,8 @@ class GainProfile:
             raise ValueError("g0 must be >= 1")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
+        if self.bandwidth < MIN_BANDWIDTH:
+            raise ValueError(f"bandwidth {self.bandwidth:.3e} is below {MIN_BANDWIDTH:.3e}")
 
 
 def resonance_frequency(phi, params: DeviceParams):
@@ -185,7 +192,8 @@ def gain_profile(
 def gain(delta, profile: GainProfile):
     """Power gain at sideband detuning delta from the half-pump frame."""
     delta = np.asarray(delta, dtype=np.float64)
-    out = 1.0 + (profile.g0 - 1.0) / (1.0 + (2.0 * delta / profile.bandwidth) ** 2)
+    with np.errstate(over="ignore"):  # far out of band: the limit 1, exactly
+        out = 1.0 + (profile.g0 - 1.0) / (1.0 + (2.0 * delta / profile.bandwidth) ** 2)
     return float(out) if out.ndim == 0 else out
 
 

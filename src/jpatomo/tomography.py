@@ -288,7 +288,9 @@ def _accumulate(accumulator, records: RecordBatch):
     return accumulator
 
 
-def accumulate_histograms(records: RecordBatch, binning: Binning) -> dict[tuple[str, str], Histogram2D]:
+def accumulate_histograms(
+    records: RecordBatch, binning: Binning
+) -> dict[tuple[str, str], Histogram2D]:
     """One pass over the records filling all six pair histograms."""
     return _accumulate(HistogramAccumulator(binning), records).histograms()
 
@@ -326,9 +328,7 @@ def moments_from_histogram(h: Histogram2D) -> HistogramMoments:
     var_x = float(col @ (centres - mean_x) ** 2) / inside - sheppard
     var_y = float(row @ (centres - mean_y) ** 2) / inside - sheppard
     cov = float((centres - mean_x) @ counts @ (centres - mean_y)) / inside
-    return HistogramMoments(
-        mean_x, mean_y, max(var_x, 0.0), max(var_y, 0.0), cov
-    )
+    return HistogramMoments(mean_x, mean_y, max(var_x, 0.0), max(var_y, 0.0), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -814,13 +814,7 @@ def estimate_state(
         contextlib.closing(_paired_blocks(records_on, records_off, worker)) as blocks,
     ):
         return estimate_from_blocks(
-            blocks,
-            n_noise,
-            method=method,
-            bins=bins,
-            bin_sigmas=bin_sigmas,
-            prefix_records=prefix_records,
-            worker=worker,
+            blocks, n_noise, method, bins, bin_sigmas, prefix_records, worker=worker
         )
 
 
@@ -895,12 +889,13 @@ def estimate_from_blocks(
     copies of all but the last two blocks the prefix spans.
 
     `worker` is an executor with one thread that runs its tasks in order,
-    shared with the `_record_blocks` pass that draws `blocks`.  The worker adds each pump-off block while this
-    thread adds the pump-on block and then draws the next one (see
-    _add_pairs), so a histogram, whose `np.add.at` holds the GIL, runs beside
-    a draw, which releases it, not beside the other histogram.  Integer
-    counts and the cell grid of the moment sums make the result independent
-    of that split and of the block sizes.
+    shared with the `_record_blocks` pass that draws `blocks`.  The worker
+    adds each pump-off block while this thread adds the pump-on block and
+    then draws the next one (see _add_pairs), so a histogram, whose
+    `np.add.at` holds the GIL, runs beside a draw, which releases it, not
+    beside the other histogram.  Integer counts and the cell grid of the
+    moment sums make the result independent of that split and of the block
+    sizes.
     """
     if method not in ("histogram", "streaming"):
         raise ValueError("method must be 'histogram' or 'streaming'")

@@ -306,6 +306,11 @@ def test_unbuildable_physics_rejected_at_parse():
         parse_config({"device": {"kappa_hz": -1.0}})
     with pytest.raises(ConfigError):
         parse_config({"filter": {"grid_points": 1}})
+    with pytest.raises(ConfigError, match="anchor g0 must be >= 1"):
+        parse_config({"pump": {"anchor_g0": 0.5}})
+    # an anchor gain whose model gain at a power past the anchor overflows
+    with pytest.raises(ConfigError, match="peak gain inf overflows float64"):
+        parse_config({"pump": {"anchor_g0": 1e308, "power_dbm": -80.7}})
 
 
 # ---------------------------------------------------------------- scenarios
@@ -857,6 +862,14 @@ def test_cli_negative_seed_returns_2(tmp_path):
     assert main(["--seed", "-1", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_negative_records_returns_2(tmp_path, capsys, draws):
+    # the override is checked where the config file's own value would be
+    out = tmp_path / "o"
+    assert main(["--records", "-1", "--out", str(out)]) == 2
+    assert "config error: run.n_records must be >= 0" in capsys.readouterr().err
+    assert draws == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     ("section", "key", "value", "scenario"),
     [
@@ -936,21 +949,44 @@ def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_cli_config_beyond_memory_returns_2(tmp_path, capsys, draws):
-    # 10^7 or 10^18 bins per axis ask for PiB of histogram counts, and 10^7
-    # Wigner points per axis for 800 TB of grid: each is refused at load,
-    # before a record is drawn or a file written
-    for k, (key, value) in enumerate(
-        [("bins", 10**7), ("bins", 10**18), ("wigner_points", 10**7)]
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("built past the memory bound")
+
+
+def test_cli_config_beyond_memory_returns_2(tmp_path, capsys, monkeypatch, draws):
+    # on a machine that reports 1 GiB: 10^7 or 10^18 bins per axis ask for
+    # PiB of histogram counts, 10^7 Wigner points per axis for 800 TB of
+    # grid, and each other count a few GiB of arrays, CSV lines or buffered
+    # prefix records (the prefix of 10^8 records, once --records sets 10^8);
+    # each is refused at load, before anything is built, drawn or written
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    # the histogram method alone buffers the prefix
+    streaming = {"prefix_records": 10**8, "n_records": 10**8, "method": "streaming"}
+    assert parse_config({"run": streaming}).run.prefix_records == 10**8
+    monkeypatch.setattr(config, "design_filter", _unbuilt)
+    monkeypatch.setattr(cli, "run_scenario", _unbuilt)
+    for k, (section, key, value, records) in enumerate(
+        [
+            ("run", "bins", 10**7, 2000),
+            ("run", "bins", 10**18, 2000),
+            ("run", "wigner_points", 10**7, 2000),
+            ("filter", "grid_points", 2 * 10**7, 2000),
+            ("run", "psd_points", 10**7, 2000),
+            ("run", "flux_points", 10**7, 2000),
+            ("run", "reflection_points", 10**7, 2000),
+            ("run", "gain_points", 10**6, 2000),  # times 5 gain-map powers
+            ("run", "prefix_records", 10**8, 10**8),
+        ]
     ):
         cfg_path = tmp_path / f"cfg{k}.json"
-        cfg_path.write_text(f'{{"run": {{"{key}": {value}}}}}')
+        cfg_path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
         out = tmp_path / f"o{k}"
-        args = ["--config", str(cfg_path), "--records", "2000", "--out", str(out)]
+        args = ["--config", str(cfg_path), "--records", str(records), "--out", str(out)]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "config error: the configuration does not fit in memory" in err
-        assert f"run.{key} = {value}" in err
+        assert f"{section}.{key} = {value}" in err
         assert draws == [] and not out.exists()
 
 
@@ -960,13 +996,46 @@ def test_memory_bound_is_skipped_without_posix_sysconf(monkeypatch):
     assert parse_config({"run": {"bins": 10**7}}).run.bins == 10**7
 
 
-def test_cli_allocation_beyond_memory_returns_2(tmp_path, capsys):
-    # 10^18 flux points pass load; numpy's MemoryError reaches cli.main
+def test_cli_allocation_beyond_memory_returns_2(tmp_path, capsys, monkeypatch):
+    # without POSIX sysconf 10^18 flux points pass load; numpy's MemoryError
+    # reaches cli.main
+    monkeypatch.delattr(os, "sysconf")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"run": {"flux_points": 1000000000000000000}}')
     args = ["--config", str(cfg_path), "--scenario", "flux-sweep", "--out", str(tmp_path / "o")]
     assert main(args) == 2
     assert "config error: the configuration does not fit in memory (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize(
+    ("override", "names"),
+    [
+        ('{"filter": {"width_hz": 1e300}}', ["filter", "width"]),
+        ('{"filter": {"width_hz": 5e-324}}', ["filter", "width"]),
+        ('{"device": {"kappa_hz": 5e-324}}', ["device.kappa_hz", "bandwidth"]),
+        ('{"device": {"kappa_hz": 1e-300}}', ["device.kappa_hz", "bandwidth"]),
+        # above the bandwidth floor at the pump power, below it at a gain-map power
+        (
+            '{"device": {"kappa_hz": 3.5e-146}, "run": {"gain_map_powers_dbm": [-80.65]}}',
+            ["device.kappa_hz, run.gain_map_powers_dbm", "bandwidth"],
+        ),
+    ],
+    ids=["wide-filter", "narrow-filter", "kappa-5e-324", "kappa-1e-300", "gain-map-kappa"],
+)
+def test_cli_config_float64_cannot_evaluate_returns_2(
+    tmp_path, capsys, draws, override, names, scenario
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(override)
+    out = tmp_path / "o"
+    args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
+    assert "Warning" not in err and "Traceback" not in err
+    assert draws == [] and not out.exists()
 
 
 def test_gain_model_error_names_every_key_set_away_from_its_default():
