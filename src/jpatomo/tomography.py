@@ -319,14 +319,14 @@ def moments_from_histogram(h: Histogram2D) -> HistogramMoments:
         )
     edges = h.binning.edges
     centres = 0.5 * (edges[:-1] + edges[1:])
-    sheppard = float(np.mean(np.diff(edges))) ** 2 / 12.0
+    width = float(np.mean(np.diff(edges)))
     counts = h.counts.astype(np.float64)
     col = counts.sum(axis=1)
     row = counts.sum(axis=0)
     mean_x = float(col @ centres) / inside
     mean_y = float(row @ centres) / inside
-    var_x = float(col @ (centres - mean_x) ** 2) / inside - sheppard
-    var_y = float(row @ (centres - mean_y) ** 2) / inside - sheppard
+    var_x = float(col @ (centres - mean_x) ** 2) / inside - width**2 / 12.0
+    var_y = float(row @ (centres - mean_y) ** 2) / inside - width**2 / 12.0
     cov = float((centres - mean_x) @ counts @ (centres - mean_y)) / inside
     return HistogramMoments(mean_x, mean_y, max(var_x, 0.0), max(var_y, 0.0), cov)
 

@@ -278,6 +278,8 @@ def test_each_bound_accepts_its_edge_and_rejects_beyond(section, key, edge, beyo
 def test_bad_flux_range_rejected():
     with pytest.raises(ConfigError, match="flux range"):
         parse_config({"run": {"flux_min": 0.3, "flux_max": 0.2}})
+    with pytest.raises(ConfigError, match="flux range"):
+        parse_config({"run": {"flux_min": 0.2, "flux_max": 0.2}})
 
 
 def test_powers_list_must_hold_numbers():
@@ -988,6 +990,16 @@ def test_cli_config_beyond_memory_returns_2(tmp_path, capsys, monkeypatch, draws
         assert "config error: the configuration does not fit in memory" in err
         assert f"{section}.{key} = {value}" in err
         assert draws == [] and not out.exists()
+
+
+def test_memory_bound_accepts_its_edge_and_rejects_beyond(monkeypatch):
+    # 1000 bins per axis need 96 * 1001^2 bytes of histogram cells: on a
+    # machine of exactly that many bytes 1000 bins fit and 1001 do not
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 96 * 1001**2}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert parse_config({"run": {"bins": 1000}}).run.bins == 1000
+    with pytest.raises(ConfigError, match="run.bins = 1001 needs"):
+        parse_config({"run": {"bins": 1001}})
 
 
 def test_memory_bound_is_skipped_without_posix_sysconf(monkeypatch):
