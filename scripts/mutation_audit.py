@@ -129,6 +129,7 @@ class _Mutator(ast.NodeTransformer):
     visit_BinOp = visit_AugAssign = _swap
 
     def visit_Raise(self, node):
+        self.generic_visit(node)  # a site may sit in the raised expression
         return ast.copy_location(ast.Pass(), node) if self._here(node) else node
 
 

@@ -110,20 +110,21 @@ def _write_wigner_csv(out: _Outputs, name: str, marginal, density) -> None:
     """Header `<x label>,<y label>,density` in lower case, then one
     `x,y,density` row of float reprs per grid point, x-major: the csv
     module's excel dialect, written one x value's rows at a time."""
-    ys = [repr(y) for y in marginal.y.tolist()]
+    axis = [repr(a) for a in marginal.axis.tolist()]
     header = f"{marginal.labels[0].lower()},{marginal.labels[1].lower()},density\r\n"
     rows = (
-        "".join(f"{x},{y},{d!r}\r\n" for y, d in zip(ys, row.tolist()))
-        for x, row in zip(map(repr, marginal.x.tolist()), density)
+        "".join(f"{x},{y},{d!r}\r\n" for y, d in zip(axis, row.tolist()))
+        for x, row in zip(axis, density)
     )
     out.write(name, chain([header], rows))
 
 
-def _covariance_payload(result) -> dict:
+def _covariance_payload(est) -> dict:
     """covariance.json: the flattened 4x4 covariance, its fits and witness,
     the calibration scale factors and the (pump-on, pump-off) record
     counts.  The manifest results repeat every field but `v` and
     `n_records`."""
+    result = est.tomography
     return {
         "v": [float(x) for x in result.v.reshape(-1)],
         "r_fit": float(result.r_fit),
@@ -132,8 +133,8 @@ def _covariance_payload(result) -> dict:
         "residual": float(result.residual),
         "residual_pure": float(result.residual_pure),
         "witness_d": float(result.witness_d),
-        "scale_factors": [float(g) for g in result.scale_factors],
-        "n_records": [int(n) for n in result.n_records],
+        "scale_factors": [float(g) for g in est.scale_factors],
+        "n_records": [int(est.moments_on.n), int(est.moments_off.n)],
     }
 
 
@@ -323,15 +324,14 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
                 prefix_records=run.prefix_records,
                 worker=worker,
             )
-    result = est.tomography
-    payload = _covariance_payload(result)
+    payload = _covariance_payload(est)
     _write_json(out, "covariance.json", payload)
 
     if est.histograms_on is not None:
         envelope = {
             "bins": int(est.binning.bins),
-            "lo": float(est.binning.lo),
-            "hi": float(est.binning.hi),
+            "lo": float(-est.binning.half),
+            "hi": float(est.binning.half),
             "bin_width": float(est.binning.width),
             "pump_on": {},
             "pump_off": {},
@@ -350,7 +350,7 @@ def _run_tomography(cfg: ExperimentConfig, out: _Outputs) -> dict:
         _write_json(out, "histograms.json", envelope)
 
     grid = WignerGrid(extent=run.wigner_extent, points=run.wigner_points)
-    for name, marginal in wigner_marginals(result.v, result.r_fit, grid).items():
+    for name, marginal in wigner_marginals(est.tomography, grid).items():
         _write_wigner_csv(out, f"wigner_{name}.csv", marginal, marginal.measured)
         _write_wigner_csv(out, f"wigner_{name}_ideal.csv", marginal, marginal.ideal)
 

@@ -257,18 +257,17 @@ class RecordBatch:
 
     The columns are the measured quadratures (X1, P1, X2, P2), i.e.
     (Re s1, Im s1, Re s2, Im s2).  The complex channel samples `s1` and `s2`
-    are views of the store, `quadratures()` returns the store and `chunks()`
-    slices of it, or copies of an unread recipe's blocks, so a caller may
-    keep them; all of them are read-only.
+    are views of the store and `quadratures()` returns the store, so a
+    caller may keep them; all of them are read-only.
 
     A batch from `measure` is a recipe: it draws nothing until it is read,
     and `len()` reads nothing.  Every read goes through `_read`, in blocks of
-    _MEASURE_CHUNK records on the global record grid: an unread recipe
-    (`chunks()`, the tomography accumulators) is drawn block by block in
-    O(block) memory and drawn again by each such read; `quadratures()`,
-    `s1` and `s2` draw the store once and keep it.  A caller that reads a
-    batch more than once should call `quadratures()` first.  The stored
-    array and the streamed recipe give bit-identical moments and histograms.
+    _MEASURE_CHUNK records on the global record grid: an unread recipe (the
+    tomography accumulators) is drawn block by block in O(block) memory and
+    drawn again by each such read; `quadratures()`, `s1` and `s2` draw the
+    store once and keep it.  A caller that reads a batch more than once
+    should call `quadratures()` first.  The stored array and the streamed
+    recipe give bit-identical moments and histograms.
     """
 
     __slots__ = ("_store", "_recipe", "_lock")
@@ -321,15 +320,12 @@ class RecordBatch:
     def __len__(self) -> int:
         return self._store.shape[0] if self._recipe is None else self._recipe.n
 
-    def _read(
-        self, worker: Executor | None = None, keep: bool = False
-    ) -> Iterator[NDArray[np.float64]]:
+    def _read(self, worker: Executor | None = None) -> Iterator[NDArray[np.float64]]:
         """Read-only blocks of _MEASURE_CHUNK records on the global grid.
 
         An unread recipe is drawn one block at a time by a record pass on
         `worker` (a one-thread executor; None: one of the pass's own), whose
-        blocks are lent (see _record_blocks) unless `keep` asks for copies;
-        a store is sliced.
+        blocks are lent (see _record_blocks); a store is sliced.
         """
         if self._store is None:
             source, config, n, seed = self._recipe
@@ -337,8 +333,6 @@ class RecordBatch:
                 _record_blocks((source,), config, n, seed, worker=worker)
             ) as blocks:
                 for (block,) in blocks:
-                    if keep:
-                        block = block.copy()
                     block.setflags(write=False)
                     yield block
             return
@@ -360,12 +354,6 @@ class RecordBatch:
                 store.setflags(write=False)
                 self._store = store
         return self._store
-
-    def chunks(self) -> Iterator[NDArray[np.float64]]:
-        """Quadrature blocks of _MEASURE_CHUNK records, each holding its
-        records for good: a block drawn from an unread recipe is a copy of
-        the pass's lent block, so `list(chunks())` holds all the records."""
-        return self._read(keep=True)
 
     @classmethod
     def load_binary(cls, path) -> "RecordBatch":
@@ -397,9 +385,7 @@ def _paired_blocks(
         r._recipe if isinstance(r, RecordBatch) and r._store is None else None
         for r in (records_on, records_off)
     )
-    matched = on and off and (on.config, on.n) == (off.config, off.n)
-    # np.array_equal: a seed may also be a sequence of ints
-    if matched and np.array_equal(on.seed, off.seed):
+    if on and off and (on.config, on.n, on.seed) == (off.config, off.n, off.seed):
         yield from _record_blocks(
             (on.source, off.source), on.config, on.n, on.seed, worker=worker
         )
@@ -423,7 +409,7 @@ def _record_blocks(
     The signal normals z come from spawn key (0, 0) and the auxiliary-noise
     normals from spawn key (0, 1), each read in record order.  The blocks lie
     on one global grid of _MEASURE_CHUNK records counted from record 0, so
-    they equal `RecordBatch.chunks()` of the stored records.  No record
+    they equal `RecordBatch._read()` of the stored records.  No record
     depends on _MEASURE_CHUNK (see _build_block), and the tomography
     accumulators sum on a grid of tomography._CELL-record cells of their
     own, so the block size moves no result; accumulators merged on cell
@@ -439,7 +425,7 @@ def _record_blocks(
     slots and a ring of two block tuples, and allocates nothing per block;
     block k is built into ring slot k % 2, so it keeps its records until the
     consumer asks for block k + 2.  A consumer that keeps a block longer
-    copies it (`RecordBatch.chunks`, `tomography._binning_from_head`).
+    copies it (`RecordBatch.quadratures`, `tomography._binning_from_head`).
 
     `worker` is an executor with one thread, which runs its tasks in
     submission order (FIFO); without one the pass owns such a worker and
@@ -573,7 +559,7 @@ def measure(
     cancels far more estimator variance than independent references would
     (the simulated analogue of an interleaved calibration).  Output is
     deterministic for fixed (seed, n), and a longer run extends a shorter
-    one with the same seed.
+    one with the same seed.  The seed is an integer (TypeError otherwise).
 
     The arguments are checked, and the source covariance factored, here; the
     returned RecordBatch is a recipe that draws its records when read (see
@@ -583,6 +569,7 @@ def measure(
     if state.n_modes != 2:
         raise ValueError("measure requires a 2-mode state")
     n = operator.index(n)
+    seed = operator.index(seed)
     if n < 0:
         raise ValueError("n must be >= 0")
     source = state if pump_on else vacuum_state(2)

@@ -33,6 +33,9 @@ GAIN_BANDWIDTH_CONST = 1.1481518224756206
 # fit_psd's bandwidth grid starts at 1e-9 of the psd scenario's span 6 B and
 # takes 1 / b^2, finite for B >= 1 / (6e-9 sqrt(max)); twice that for rounding
 MIN_BANDWIDTH = 2.0 / (6e-9 * math.sqrt(np.finfo(float).max))
+# fit_psd squares twice the psd scenario's detunings, up to 6 B, finite for
+# B <= sqrt(max) / 6; half that for rounding
+MAX_BANDWIDTH = math.sqrt(np.finfo(float).max) / (2.0 * 6.0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,8 @@ DEFAULT_GAIN_ANCHOR = GainAnchor()
 @dataclass(frozen=True)
 class GainProfile:
     """Lorentzian gain profile: peak g0 (power gain), full bandwidth (rad/s,
-    at least MIN_BANDWIDTH, about 2.5e-146), pump."""
+    from MIN_BANDWIDTH, about 2.5e-146, to MAX_BANDWIDTH, about 1.1e153),
+    pump."""
 
     g0: float
     bandwidth: float
@@ -111,6 +115,8 @@ class GainProfile:
             raise ValueError("bandwidth must be > 0")
         if self.bandwidth < MIN_BANDWIDTH:
             raise ValueError(f"bandwidth {self.bandwidth:.3e} is below {MIN_BANDWIDTH:.3e}")
+        if self.bandwidth > MAX_BANDWIDTH:
+            raise ValueError(f"bandwidth {self.bandwidth:.3e} is above {MAX_BANDWIDTH:.3e}")
 
 
 def resonance_frequency(phi, params: DeviceParams):

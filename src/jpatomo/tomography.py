@@ -60,6 +60,11 @@ PAIR_LABELS = (
 )
 
 _WARN_PHYSICALITY_TOL = 1e-6
+# The largest covariance entry `reconstruct` takes.  fit_squeezing sums the
+# squares of 10 model-minus-data entries, each at most 2 max|v| (no model
+# entry exceeds max|v|), and a Wigner marginal's determinant two products of
+# entries; 40 max|v|^2 is finite below sqrt(max) / 8.
+_ENTRY_MAX = np.sqrt(np.finfo(float).max) / 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +73,16 @@ _WARN_PHYSICALITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Binning:
-    """Shared square binning for all four quadrature axes."""
+    """Shared square binning of [-half, half] for all four quadrature axes."""
 
-    lo: float
-    hi: float
+    half: float
     bins: int = 128
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not np.isfinite(self.half):
             raise ValueError("binning range must be finite")
-        if not self.hi > self.lo:
-            raise ValueError("binning range must have hi > lo")
+        if not self.half > 0.0:
+            raise ValueError("binning half-width must be > 0")
         if self.bins < 2:
             raise ValueError("need at least 2 bins per axis")
         if not (np.diff(self.edges) > 0.0).all():
@@ -86,17 +90,17 @@ class Binning:
 
     @property
     def edges(self) -> NDArray[np.float64]:
-        return np.linspace(self.lo, self.hi, self.bins + 1)
+        return np.linspace(-self.half, self.half, self.bins + 1)
 
     @property
     def width(self) -> float:
-        return (self.hi - self.lo) / self.bins
+        return 2.0 * self.half / self.bins
 
     def index(self, values: NDArray[np.float64], out=None):
         """Bin index per value plus an in-range mask.
 
         Values exactly at the upper edge land in the last bin, so the rule is
-        a pure function of (value, lo, hi, bins) and shard merges are exact.
+        a pure function of (value, half, bins) and shard merges are exact.
         An infinite or NaN value raises NonFiniteRecordError.  `out`, if
         given, is an (index, mask, scratch) triple of int64, bool and float64
         arrays of the values' shape, which receive the indices, the mask and
@@ -109,14 +113,14 @@ class Binning:
                 np.empty(values.shape),
             )
         idx, inside, scaled = out
-        np.greater_equal(values, self.lo, out=inside)
-        inside &= values <= self.hi
+        np.greater_equal(values, -self.half, out=inside)
+        inside &= values <= self.half
         if not inside.all() and not np.isfinite(values).all():
             raise NonFiniteRecordError("records hold an infinite or NaN quadrature")
         # a finite value far out of range may scale to +-inf or past int64;
         # clipped before the cast, it lands in an edge bin (and is out of range)
         with np.errstate(over="ignore"):
-            np.subtract(values, self.lo, out=scaled)
+            np.add(values, self.half, out=scaled)
             np.divide(scaled, self.width, out=scaled)
         np.clip(scaled, 0, self.bins - 1, out=scaled)
         np.copyto(idx, scaled, casting="unsafe")
@@ -144,16 +148,18 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
         raise DegenerateReferenceError("need at least 2 records to choose a range")
     if not np.isfinite(prefix).all():
         raise NonFiniteRecordError("record prefix holds an infinite or NaN quadrature")
-    sigma = float(np.max(prefix.std(axis=0)))
-    if not np.isfinite(sigma) or sigma <= 0.0:
+    with np.errstate(over="ignore"):  # checked below
+        sigma = float(np.max(prefix.std(axis=0)))
+    if not np.isfinite(sigma):
+        raise FloatOverflowError("the record prefix's spread overflows float64")
+    if sigma <= 0.0:
         raise DegenerateReferenceError("record prefix has no spread")
     half = sigmas * sigma
-    # Binning.width, squared by Sheppard's correction
-    width = 2.0 * half / bins
-    if not np.isfinite(width * width):
-        raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin width")
+    # moments_from_histogram squares a bin centre minus a mean, up to 2 half
+    if not np.isfinite((2.0 * half) * (2.0 * half)):
+        raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin range")
     try:
-        return Binning(lo=-half, hi=half, bins=bins)
+        return Binning(half, bins)
     except ValueError as exc:  # a range that rounds to 0, or edges that coincide
         if bins < 2:
             raise
@@ -325,9 +331,14 @@ def moments_from_histogram(h: Histogram2D) -> HistogramMoments:
     row = counts.sum(axis=0)
     mean_x = float(col @ centres) / inside
     mean_y = float(row @ centres) / inside
-    var_x = float(col @ (centres - mean_x) ** 2) / inside - width**2 / 12.0
-    var_y = float(row @ (centres - mean_y) ** 2) / inside - width**2 / 12.0
-    cov = float((centres - mean_x) @ counts @ (centres - mean_y)) / inside
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        var_x = float(col @ (centres - mean_x) ** 2) / inside - width**2 / 12.0
+        var_y = float(row @ (centres - mean_y) ** 2) / inside - width**2 / 12.0
+        cov = float((centres - mean_x) @ counts @ (centres - mean_y)) / inside
+    if not np.isfinite([var_x, var_y, cov]).all():
+        raise FloatOverflowError(
+            f"the second moments of histogram {h.labels[0]}-{h.labels[1]} overflow float64"
+        )
     return HistogramMoments(mean_x, mean_y, max(var_x, 0.0), max(var_y, 0.0), cov)
 
 
@@ -377,7 +388,7 @@ class MomentAccumulator:
 
     The records are summed in cells of _CELL = 2^14 records counted from the
     first record the accumulator sees: each cell's column sums and product
-    sums are kept as one row, and `finalize` adds the rows in record order.
+    sums are kept as one row, and `fold` adds the rows in record order.
     A cell that a block boundary splits waits, copied, in a buffer of at
     most _CELL rows until it is whole.  So the result is a function of the
     record sequence alone: any block sizes give bit-identical moments, and a
@@ -413,8 +424,9 @@ class MomentAccumulator:
         """Column sums and 4x4 product sums of one C-contiguous cell, as a
         row of 20."""
         row = np.empty(20)
-        np.matmul(self._ones[: cell.shape[0]], cell, out=row[:4])
-        np.matmul(cell.T, cell, out=row[4:].reshape(4, 4))
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: see fold
+            np.matmul(self._ones[: cell.shape[0]], cell, out=row[:4])
+            np.matmul(cell.T, cell, out=row[4:].reshape(4, 4))
         return row
 
     def _wait(self, rows: NDArray[np.float64]) -> None:
@@ -443,23 +455,21 @@ class MomentAccumulator:
 
     def fold(self) -> tuple[MomentSet, None]:
         """The moments, and no histograms: moment sums keep none."""
-        return self.finalize(), None
-
-    def finalize(self) -> MomentSet:
         if self.n < 2:
             raise DegenerateReferenceError("need at least 2 records for moments")
-        total = np.add.reduce(np.stack(self._all_rows()), axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            total = np.add.reduce(np.stack(self._all_rows()), axis=0)
         if not np.isfinite(total).all():
             raise NonFiniteRecordError(
                 "moment sums are not finite: a record is infinite, NaN or too large"
             )
         mean = total[:4] / self.n
         cov = total[4:].reshape(4, 4) / self.n - np.outer(mean, mean)
-        return MomentSet(mean, 0.5 * (cov + cov.T), self.n)
+        return MomentSet(mean, 0.5 * (cov + cov.T), self.n), None
 
 
 def accumulate_moments(records: RecordBatch) -> MomentSet:
-    return _accumulate(MomentAccumulator(), records).finalize()
+    return _accumulate(MomentAccumulator(), records).fold()[0]
 
 
 def moment_set_from_histograms(
@@ -510,28 +520,35 @@ def moment_set_from_histograms(
 # calibration, deconvolution, fitting
 
 
-def calibrate(
-    moments_off: MomentSet, n_noise: float | tuple[float, float]
-) -> tuple[float, float]:
+def calibrate(moments_off: MomentSet, n_noise: tuple[float, float]) -> tuple[float, float]:
     """Per-channel scale factors from the pump-off reference.
 
-    With the pump off each quadrature carries the vacuum signal plus the
-    chain's thermal mode, variance (2 n_noise + 2)/4 in calibrated units;
-    g_k = sqrt(target / measured) rescales channel k onto that target.
+    With the pump off each quadrature of channel k carries the vacuum signal
+    plus the chain's thermal mode, variance (2 n_noise[k] + 2)/4 in
+    calibrated units, where n_noise is the (channel 1, channel 2) pair of
+    DetectionConfig.noise_pair; g_k = sqrt(target / measured) rescales
+    channel k onto that target.  A scale factor whose square overflows
+    float64 raises FloatOverflowError.
     """
-    pair = (n_noise, n_noise) if np.isscalar(n_noise) else tuple(n_noise)
-    if len(pair) != 2 or any(n < 0 for n in pair):
-        raise ValueError("n_noise must be a photon number or a pair of them")
+    if np.shape(n_noise) != (2,) or any(n < 0 for n in n_noise):
+        raise ValueError("n_noise must be a (channel 1, channel 2) pair of photon numbers")
     var = moments_off.variances
     scales = []
-    for k, n_k in enumerate(pair):
+    for k, n_k in enumerate(n_noise):
         measured = 0.5 * (var[2 * k] + var[2 * k + 1])
         if not np.isfinite(measured) or measured <= 0.0:
             raise DegenerateReferenceError(
                 f"pump-off variance of channel {k + 1} is degenerate"
             )
         target = (2.0 * n_k + 2.0) / 4.0
-        scales.append(float(np.sqrt(target / measured)))
+        with np.errstate(over="ignore"):  # checked below
+            ratio = target / measured
+        if not np.isfinite(ratio):
+            raise FloatOverflowError(
+                f"pump-off variance of channel {k + 1}, {measured:.3e}, is too small "
+                "for float64 to scale onto its target"
+            )
+        scales.append(float(np.sqrt(ratio)))
     return (scales[0], scales[1])
 
 
@@ -665,9 +682,10 @@ class WignerGrid:
 
 @dataclass(frozen=True)
 class WignerMarginal:
+    """Densities on the square grid `axis` x `axis`, x-major."""
+
     labels: tuple[str, str]
-    x: NDArray[np.float64]
-    y: NDArray[np.float64]
+    axis: NDArray[np.float64]
     measured: NDArray[np.float64]
     ideal: NDArray[np.float64]
 
@@ -681,8 +699,6 @@ class TomographyResult:
     r_fit_pure: float
     residual_pure: float
     witness_d: float
-    scale_factors: tuple[float, float] | None
-    n_records: tuple[int, int] | None
 
 
 def _marginal_density(
@@ -706,26 +722,25 @@ def _marginal_density(
 _MARGINAL_PAIRS = {"x1_p1": (0, 1), "x1_x2": (0, 2)}
 
 
-def _symmetric_covariance(v) -> NDArray[np.float64]:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
-        raise InvalidCovarianceError("covariance must be a finite 4x4 matrix")
-    return 0.5 * (v + v.T)
-
-
-def reconstruct(
-    v: NDArray[np.float64],
-    scale_factors: tuple[float, float] | None = None,
-    n_records: tuple[int, int] | None = None,
-) -> TomographyResult:
+def reconstruct(v: NDArray[np.float64]) -> TomographyResult:
     """Package the estimated covariance into its squeezing fits and witness.
 
     A slightly indefinite estimate (statistical fluctuation around a pure
     state) is tolerated with a warning; an indefiniteness on the scale of the
     covariance itself aborts, since no amount of sampling noise explains it.
-    The Wigner marginals are a display output: `wigner_marginals`.
+    An entry too large for the fits to square (above _ENTRY_MAX, about
+    1.7e153) raises FloatOverflowError.  The Wigner marginals are a display
+    output: `wigner_marginals`.
     """
-    v = _symmetric_covariance(v)
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (4, 4) or not np.all(np.isfinite(v)):
+        raise InvalidCovarianceError("covariance must be a finite 4x4 matrix")
+    if np.max(np.abs(v)) > _ENTRY_MAX:
+        raise FloatOverflowError(
+            f"covariance entry {np.max(np.abs(v)):.3e} is too large for float64 to "
+            "square in the fits"
+        )
+    v = 0.5 * (v + v.T)
     min_eig = physicality_margin(v)
     hard_tol = max(_WARN_PHYSICALITY_TOL, 0.01 * float(np.mean(np.diag(v))))
     if min_eig < -hard_tol:
@@ -749,28 +764,23 @@ def reconstruct(
         r_fit_pure=fit.r_pure,
         residual_pure=fit.residual_pure,
         witness_d=witness(GaussianState(2, np.zeros(4), v)),
-        scale_factors=scale_factors,
-        n_records=n_records,
     )
 
 
 def wigner_marginals(
-    v: NDArray[np.float64], r: float, grid: WignerGrid | None = None
+    result: TomographyResult, grid: WignerGrid | None = None
 ) -> dict[str, WignerMarginal]:
-    """The (X1, P1) and (X1, X2) Wigner marginals of the covariance `v`
-    (symmetrised), each beside the pure squeezed-vacuum model at squeezing
-    `r` (the fitted `r_fit` of a reconstruction), on `grid` (default
-    WignerGrid())."""
-    v = _symmetric_covariance(v)
+    """The (X1, P1) and (X1, X2) Wigner marginals of a reconstruction's
+    covariance, each beside the pure squeezed-vacuum model at its fitted
+    `r_fit`, on `grid` (default WignerGrid())."""
     if grid is None:
         grid = WignerGrid()
-    state = GaussianState(2, np.zeros(4), v)
-    ideal = tms_theory_covariance(r, 0.0)
+    state = GaussianState(2, np.zeros(4), result.v)
+    ideal = tms_theory_covariance(result.r_fit, 0.0)
     return {
         name: WignerMarginal(
             labels=(AXIS_LABELS[pair[0]], AXIS_LABELS[pair[1]]),
-            x=grid.axis,
-            y=grid.axis,
+            axis=grid.axis,
             measured=_marginal_density(state, pair, grid),
             ideal=_marginal_density(ideal, pair, grid),
         )
@@ -784,9 +794,12 @@ def wigner_marginals(
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Pipeline outputs: reconstruction plus the intermediate artifacts."""
+    """Pipeline outputs: reconstruction, calibrate's scale factors and the
+    intermediate artifacts (`moments_on.n` and `moments_off.n` count the
+    records)."""
 
     tomography: TomographyResult
+    scale_factors: tuple[float, float]
     binning: Binning | None
     histograms_on: dict | None
     histograms_off: dict | None
@@ -797,7 +810,7 @@ class EstimationResult:
 def estimate_state(
     records_on: RecordBatch,
     records_off: RecordBatch,
-    n_noise: float | tuple[float, float],
+    n_noise: tuple[float, float],
     method: str = "histogram",
     bins: int = 128,
     bin_sigmas: float = 6.0,
@@ -870,7 +883,7 @@ def _add_pairs(blocks, add_on, add_off, worker: Executor) -> None:
 
 def estimate_from_blocks(
     blocks: Iterable[tuple[NDArray[np.float64], NDArray[np.float64]]],
-    n_noise: float | tuple[float, float],
+    n_noise: tuple[float, float],
     method: str = "histogram",
     bins: int = 128,
     bin_sigmas: float = 6.0,
@@ -913,9 +926,9 @@ def estimate_from_blocks(
     on = apply_scale(raw_on, scales)
     off = apply_scale(raw_off, scales)
     v = deconvolve(on, off)
-    result = reconstruct(v, scale_factors=scales, n_records=(raw_on.n, raw_off.n))
     return EstimationResult(
-        tomography=result,
+        tomography=reconstruct(v),
+        scale_factors=scales,
         binning=binning,
         histograms_on=hists_on,
         histograms_off=hists_off,

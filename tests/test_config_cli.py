@@ -1,6 +1,7 @@
 """Config parsing and the batch CLI: strictness, overrides, exit codes,
 per-scenario outputs, and byte-level reproducibility."""
 
+import ast
 import builtins
 import csv
 import dataclasses
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import threading
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -559,12 +561,12 @@ def test_fused_tomography_equals_two_call_path(tmp_path, monkeypatch, method, n)
         assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
         assert got.n == want.n == n
     ref_out = cli._Outputs(tmp_path)
-    cli._write_json(ref_out, "ref.json", cli._covariance_payload(ref.tomography))
+    cli._write_json(ref_out, "ref.json", cli._covariance_payload(ref))
     assert (tmp_path / "cli" / "covariance.json").read_bytes() == (
         tmp_path / "ref.json"
     ).read_bytes()
     grid = WignerGrid(extent=cfg.run.wigner_extent, points=cfg.run.wigner_points)
-    m = wigner_marginals(ref.tomography.v, ref.tomography.r_fit, grid)["x1_x2"]
+    m = wigner_marginals(ref.tomography, grid)["x1_x2"]
     cli._write_wigner_csv(ref_out, "ref.csv", m, m.ideal)
     assert (tmp_path / "cli" / "wigner_x1_x2_ideal.csv").read_bytes() == (
         tmp_path / "ref.csv"
@@ -919,18 +921,51 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("override", "scenario"),
+    ("override", "scenario", "cause"),
     [
-        ('{"run": {"psd_noise_sigma": 1e200}}', "psd"),  # the fit's sum of squares
-        ('{"run": {"psd_noise_sigma": 1e308}}', "psd"),  # the noisy spectrum
-        ('{"run": {"r_true": 400.0}}', "tomography"),  # the covariance
-        ('{"run": {"bin_sigmas": 1e308}}', "tomography"),  # the binning range
-        ('{"run": {"bin_sigmas": 1e300}}', "tomography"),  # the squared bin width
-        ('{"run": {"bin_sigmas": 5e-324}}', "tomography"),  # edges float64 cannot part
+        ('{"run": {"psd_noise_sigma": 1e200}}', "psd", "sum of squares"),
+        ('{"run": {"psd_noise_sigma": 1e308}}', "psd", "noisy spectrum"),
+        ('{"run": {"r_true": 400.0}}', "tomography", "overflow the covariance"),
+        ('{"run": {"bin_sigmas": 1e308}}', "tomography", "squared bin range"),
+        ('{"run": {"bin_sigmas": 1e300}}', "tomography", "squared bin range"),
+        ('{"run": {"bin_sigmas": 5e-324}}', "tomography", "edges coincide"),
         # a record spread below 1, so the binning range itself rounds to 0
         (
             '{"run": {"bin_sigmas": 5e-324}, "detection": {"gain_ch1": 0.01, "gain_ch2": 0.01}}',
             "tomography",
+            "binning half-width",
+        ),
+        # bin centres up to +-half, whose squares leave float64
+        ('{"run": {"bin_sigmas": 1e155}}', "tomography", "squared bin range"),
+        # a pump-off variance so small that its scale factor overflows
+        (
+            '{"detection": {"gain_ch1": 1e-160}, "run": {"method": "streaming"}}',
+            "tomography",
+            "channel 1, 3.396e-319, is too small",
+        ),
+        (
+            '{"detection": {"gain_ch2": 1e-160}, "run": {"method": "streaming"}}',
+            "tomography",
+            "channel 2, 3.397e-319, is too small",
+        ),
+        (
+            '{"detection": {"gain_ch1": 1e-160, "gain_ch2": 1e-160}}',
+            "tomography",
+            "channel 1, 3.394e-319, is too small",
+        ),
+        # records whose squares leave float64
+        ('{"detection": {"gain_ch1": 1e155}}', "tomography", "spread overflows"),
+        ('{"detection": {"gain_ch1": 1e300}}', "tomography", "spread overflows"),
+        (
+            '{"detection": {"gain_ch1": 1e155}, "run": {"method": "streaming"}}',
+            "tomography",
+            "moment sums are not finite",
+        ),
+        # an estimate too large for the fits and the Wigner densities to square
+        (
+            '{"run": {"n_add_true": 1e155, "method": "streaming"}}',
+            "tomography",
+            "covariance entry 5.291e+154 is too large",
         ),
     ],
     ids=[
@@ -941,14 +976,25 @@ def test_cli_unstable_pump_returns_3(tmp_path, capsys):
         "tomography-bin-width",
         "tomography-bin-edges",
         "tomography-bin-range",
+        "tomography-bin-centres",
+        "tiny-gain-ch1",
+        "tiny-gain-ch2",
+        "tiny-gains",
+        "huge-gain-histogram",
+        "huge-gain-1e300-histogram",
+        "huge-gain-streaming",
+        "huge-excess-noise",
     ],
 )
-def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario):
+def test_cli_overflowing_config_returns_3(tmp_path, capsys, override, scenario, cause):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(override)
     args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "2000"]
-    assert main([*args, "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns of nothing on the way
+        assert main([*args, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and cause in err
 
 
 def _unbuilt(*args, **kwargs):
@@ -1032,8 +1078,22 @@ def test_cli_allocation_beyond_memory_returns_2(tmp_path, capsys, monkeypatch):
             '{"device": {"kappa_hz": 3.5e-146}, "run": {"gain_map_powers_dbm": [-80.65]}}',
             ["device.kappa_hz, run.gain_map_powers_dbm", "bandwidth"],
         ),
+        # a psd span of +-3 B whose doubled detunings float64 cannot square
+        ('{"device": {"kappa_hz": 1e155}}', ["device.kappa_hz", "bandwidth", "above"]),
+        (
+            '{"device": {"gain_bandwidth_const": 1e155}}',
+            ["device.gain_bandwidth_const", "bandwidth", "above"],
+        ),
     ],
-    ids=["wide-filter", "narrow-filter", "kappa-5e-324", "kappa-1e-300", "gain-map-kappa"],
+    ids=[
+        "wide-filter",
+        "narrow-filter",
+        "kappa-5e-324",
+        "kappa-1e-300",
+        "gain-map-kappa",
+        "kappa-1e155",
+        "gain-bandwidth-const-1e155",
+    ],
 )
 def test_cli_config_float64_cannot_evaluate_returns_2(
     tmp_path, capsys, draws, override, names, scenario
@@ -1096,7 +1156,7 @@ def test_cli_filter_at_half_its_width_from_the_pump_runs(tmp_path, shape):
 
 # Boundary values as the config file can spell them: random finite floats
 # besides, but no mid-size count that numpy would really allocate
-_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e15, 1e300]) | st.floats(
+_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e-160, 1e15, 1e155, 1e300]) | st.floats(
     allow_nan=False, allow_infinity=False
 )
 _INTS = st.sampled_from([0, 1, 2, 3, -1, 10**18])
@@ -1141,6 +1201,22 @@ _CHANGES = st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=2, unique=Tru
     changes=((("filter", "offset_hz"), 1e6), (("filter", "width_hz"), 4e6)),
     scenario="psd",
 )
+# values whose squares, or whose scale factors, leave float64
+@example(changes=((("detection", "gain_ch1"), 1e-160), (("run", "method"), "streaming")),
+         scenario="tomography")
+@example(changes=((("detection", "gain_ch2"), 1e-160), (("run", "method"), "streaming")),
+         scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 1e-160), (("detection", "gain_ch2"), 1e-160)),
+         scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 1e155),), scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 1e300),), scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 1e155), (("run", "method"), "streaming")),
+         scenario="tomography")
+@example(changes=((("device", "kappa_hz"), 1e155),), scenario="psd")
+@example(changes=((("device", "gain_bandwidth_const"), 1e155),), scenario="psd")
+@example(changes=((("run", "bin_sigmas"), 1e155),), scenario="tomography")
+@example(changes=((("run", "n_add_true"), 1e155), (("run", "method"), "streaming")),
+         scenario="tomography")
 @settings(
     derandomize=True,
     max_examples=150,
@@ -1152,13 +1228,22 @@ def test_cli_exits_0_2_3_or_4_on_any_config(tmp_path, capsys, draws, changes, sc
     for (section, name), value in changes:
         data.setdefault(section, {})[name] = value
     draws.clear()
-    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch, warnings.catch_warnings(
+        record=True
+    ) as caught:
+        warnings.simplefilter("always")
         cfg_path = Path(scratch) / "cfg.json"
         cfg_path.write_text(json.dumps(data))
         args = ["--config", str(cfg_path), "--scenario", scenario, "--records", "3000"]
         code = main([*args, "--out", str(Path(scratch) / "o")])
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4) and "Traceback" not in err
+    # numpy warns of nothing: a value float64 cannot hold is reported as an
+    # error; the one warning left is the estimate's own physicality margin
+    unexpected = [
+        str(w.message) for w in caught if "marginally unphysical" not in str(w.message)
+    ]
+    assert unexpected == []
     if code == 2:  # a config error stops the run before its record pass
         assert draws == []
 
@@ -1214,12 +1299,26 @@ def test_cli_two_record_histogram_run_is_unresolved_not_unphysical(tmp_path, cap
     ) in capsys.readouterr().err
 
 
-def _script_main(name):
+def _script(name):
     path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    return script.main
+    return script
+
+
+def _script_main(name):
+    return _script(name).main
+
+
+def test_mutation_audit_mutates_a_site_in_a_raised_expression():
+    audit = _script("mutation_audit")
+    source = 'def f(k):\n    raise ValueError(f"channel {k + 1}")\n'
+    sites = audit.sites(ast.parse(source))
+    mutants = {site.what: audit.mutant_source(source, site) for site in sites}
+    assert set(mutants) == {"raise -> pass", "+ -> -"}
+    assert "pass" in mutants["raise -> pass"] and "raise" not in mutants["raise -> pass"]
+    assert "{k - 1}" in mutants["+ -> -"] and "raise" in mutants["+ -> -"]
 
 
 @pytest.mark.parametrize(

@@ -676,6 +676,10 @@ def test_measure_validation():
     # checked at the call, not when the records are first read
     with pytest.raises(TypeError):
         measure(state, cfg, 10.5, seed=0)
+    # a seed is one integer
+    for seed in (1.0, [1, 2], np.array([1, 2])):
+        with pytest.raises(TypeError):
+            measure(state, cfg, 10, seed=seed)
     with pytest.raises(ValueError):
         measure(state, cfg, 10, seed=-1)
 
@@ -717,7 +721,7 @@ def test_record_batch_quadrature_columns():
 def test_record_batch_chunks_cover_all_records(monkeypatch):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 256)
     batch = measure(vacuum_state(2), DetectionConfig(), 1000, seed=2)
-    blocks = list(batch.chunks())
+    blocks = [block.copy() for block in batch._read()]  # the pass lends its blocks
     assert [b.shape[0] for b in blocks] == [256, 256, 256, 232]
     np.testing.assert_array_equal(np.vstack(blocks), batch.quadratures())
 
@@ -750,10 +754,11 @@ def test_unread_recipe_streams_chunks_and_binary_on_the_global_grid(
     n = 3 * 4096 + 7
     store = measure(state, cfg, n, seed=4).quadratures()
     recipe = measure(state, cfg, n, seed=4)
-    blocks = list(recipe.chunks())
-    assert [b.shape[0] for b in blocks] == [4096, 4096, 4096, 7]
-    for got, want in zip(blocks, RecordBatch._wrap(store.copy()).chunks(), strict=True):
+    sizes = []
+    for got, want in zip(recipe._read(), RecordBatch._wrap(store.copy())._read(), strict=True):
+        sizes.append(got.shape[0])
         assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    assert sizes == [4096, 4096, 4096, 7]
     assert recipe._store is None
     assert draws == [4, 4]
 

@@ -453,13 +453,41 @@ def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):
         fit_psd(np.column_stack([deltas, noisy]))
 
 
+def test_fit_psd_keeps_the_last_feasible_point_at_a_step_out_of_bounds():
+    # the data shifted so that their best floor is -1e-7: the bracketed start
+    # has a floor a hair above 0, and its Gauss-Newton step, which lowers the
+    # cost, would take the floor below its bound
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    deltas = np.linspace(-3.0 * prof.bandwidth, 3.0 * prof.bandwidth, 60)
+    data = psd(deltas, prof, 5.0) + np.random.default_rng(1).normal(0.0, 0.5, 60)
+    free = fit_psd(np.column_stack([deltas, data]))
+    fit = fit_psd(np.column_stack([deltas, data - (free.n_noise + 1e-7)]))
+    assert 0.0 <= fit.n_noise < 1e-6
+    assert fit.g0 == pytest.approx(free.g0, rel=1e-8)
+    assert fit.bandwidth == pytest.approx(free.bandwidth, rel=1e-7)
+
+
 def test_device_params_validation():
+    omega_p = DEFAULT_PUMP.omega_p
+    with pytest.raises(ValueError, match="g0 must be >= 1"):
+        GainProfile(g0=0.5, bandwidth=TWO_PI * 3e6, omega_p=omega_p)
+    # the bandwidth's range is closed at both ends
+    for bandwidth in (device.MIN_BANDWIDTH, device.MAX_BANDWIDTH):
+        assert GainProfile(g0=2.0, bandwidth=bandwidth, omega_p=omega_p).bandwidth == bandwidth
+    with pytest.raises(ValueError, match="is below"):
+        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MIN_BANDWIDTH, 0.0), omega_p=omega_p)
+    with pytest.raises(ValueError, match="is above"):
+        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MAX_BANDWIDTH, np.inf), omega_p=omega_p)
     with pytest.raises(ValueError):
         DeviceParams(kappa=0.0)
     with pytest.raises(ValueError):
         DeviceParams(participation=1.0)
     with pytest.raises(ValueError):
         DeviceParams(gamma_i=-1.0)
+    with pytest.raises(ValueError, match="gain_bandwidth_const must be > 0"):
+        DeviceParams(gain_bandwidth_const=0.0)
+    with pytest.raises(ValueError, match="freq_scale must be > 0"):
+        replace(DEFAULT_GAIN_ANCHOR, freq_scale=0.0)
 
 
 def test_pump_defaults_match_operating_point():

@@ -21,6 +21,7 @@ from jpatomo import cli, detection, tomography
 from jpatomo.detection import DetectionConfig, RecordBatch, measure
 from jpatomo.errors import (
     DegenerateReferenceError,
+    FloatOverflowError,
     InvalidCovarianceError,
     NonFiniteRecordError,
     NumericsError,
@@ -32,6 +33,7 @@ from jpatomo.gaussian import tms_theory_covariance, two_mode_squeeze, vacuum_sta
 from jpatomo.tomography import (
     PAIR_LABELS,
     Binning,
+    EstimationResult,
     Histogram2D,
     MomentAccumulator,
     MomentSet,
@@ -74,29 +76,30 @@ def batch_of(q):
 
 
 def test_binning_edges_and_width():
-    b = Binning(-2.0, 2.0, bins=4)
+    b = Binning(2.0, bins=4)
     np.testing.assert_allclose(b.edges, [-2, -1, 0, 1, 2])
     assert b.width == 1.0
 
 
 def test_binning_index_rule_includes_upper_edge():
-    b = Binning(0.0, 4.0, bins=4)
-    idx, inside = b.index(np.array([-0.1, 0.0, 3.999, 4.0, 4.1]))
+    b = Binning(2.0, bins=4)
+    idx, inside = b.index(np.array([-2.1, -2.0, 1.999, 2.0, 2.1]))
     np.testing.assert_array_equal(inside, [False, True, True, True, False])
     assert idx[1] == 0 and idx[2] == 3 and idx[3] == 3
 
 
 def test_binning_validation():
     with pytest.raises(ValueError):
-        Binning(1.0, 1.0)
-    with pytest.raises(ValueError, match="hi > lo"):
-        Binning(1.0, -1.0, 4)
+        Binning(0.0)
+    with pytest.raises(ValueError, match="half-width must be > 0"):
+        Binning(-1.0, 4)
     with pytest.raises(ValueError, match="edges coincide"):
-        Binning(0.0, 5e-324, 4)
+        Binning(5e-324, 4)
     with pytest.raises(ValueError):
-        Binning(0.0, 1.0, bins=1)
-    with pytest.raises(ValueError):
-        Binning(0.0, np.inf)
+        Binning(1.0, bins=1)
+    assert Binning(1.0, bins=2).edges.tolist() == [-1.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="must be finite"):
+        Binning(np.inf)
 
 
 def test_auto_binning_tracks_prefix_sigma():
@@ -105,13 +108,17 @@ def test_auto_binning_tracks_prefix_sigma():
     b = auto_binning(batch_from_quadratures(q), bins=128, sigmas=6.0)
     sigma = q[:10_000].std(axis=0).max()
     assert b.bins == 128
-    assert b.lo == -6.0 * sigma and b.hi == 6.0 * sigma
+    assert b.half == 6.0 * sigma
 
 
 def test_auto_binning_rejects_degenerate_prefix():
     q = np.zeros((100, 4))
-    with pytest.raises(DegenerateReferenceError):
+    with pytest.raises(DegenerateReferenceError, match="no spread"):
         auto_binning(batch_from_quadratures(q))
+    # a spread whose bin range rounds to 0, at the fewest bins Binning takes
+    q = 0.01 * np.random.default_rng(2).standard_normal((100, 4))
+    with pytest.raises(DegenerateReferenceError, match="half-width must be > 0"):
+        auto_binning(batch_from_quadratures(q), bins=2, sigmas=5e-324)
     with pytest.raises(DegenerateReferenceError):
         auto_binning(batch_from_quadratures(np.zeros((1, 4))))
 
@@ -126,6 +133,9 @@ def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draw
     assert recipe._store is None
     # the store, then the three 4096-record blocks the 10^4-record prefix spans
     assert draws == [10, 3]
+    # a prefix that ends on a block edge reads no block past it
+    auto_binning(recipe, prefix_records=2 * 4096)
+    assert draws == [10, 3, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +143,14 @@ def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draw
 
 
 def test_accumulate_empty_records():
-    hists = accumulate_histograms(batch_of(np.empty((0, 4))), Binning(-1, 1, 8))
+    hists = accumulate_histograms(batch_of(np.empty((0, 4))), Binning(1, 8))
     assert set(hists) == set(PAIR_LABELS)
     for h in hists.values():
         assert h.counts.sum() == 0 and h.n_total == 0 and h.overflow == 0
 
 
 def test_accumulate_single_record_lands_once_per_pair():
-    b = Binning(-1.0, 1.0, bins=8)
+    b = Binning(1.0, bins=8)
     # bin centers at -0.875 + k * 0.25; put each axis in a distinct bin
     q = np.array([[-0.875, -0.625, 0.125, 0.875]])
     hists = accumulate_histograms(batch_of(q), b)
@@ -152,7 +162,7 @@ def test_accumulate_single_record_lands_once_per_pair():
 
 
 def test_accumulate_counts_overflow():
-    b = Binning(-1.0, 1.0, bins=4)
+    b = Binning(1.0, bins=4)
     q = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 5.0, 0.0]])
     hists = accumulate_histograms(batch_of(q), b)
     # record 2 overflows any pair touching X1, record 3 any pair touching X2
@@ -177,8 +187,8 @@ def test_histogram_merge_is_bin_exact_across_shards():
     q = batch.quadratures().copy()
     # out-of-range records in the second and last shards: merged overflow
     # adds up, shard by shard
-    q[5_000:5_003, 0] = 2.0 * binning.hi
-    q[39_990, 3] = 2.0 * binning.lo
+    q[5_000:5_003, 0] = 2.0 * binning.half
+    q[39_990, 3] = -2.0 * binning.half
     whole = accumulate_histograms(batch_of(q), binning)
     assert whole[("X1", "P1")].overflow == 3 and whole[("X2", "P2")].overflow == 1
     shards = [
@@ -195,11 +205,11 @@ def test_histogram_merge_is_bin_exact_across_shards():
 
 @pytest.mark.parametrize("sub", [3, 4096, 1 << 20])
 def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
-    binning = Binning(-1.0, 1.0, bins=8)
+    binning = Binning(1.0, bins=8)
     rng = np.random.default_rng(12)
     q = rng.uniform(-1.2, 1.2, size=(10_007, 4))
-    edges = [binning.lo, binning.hi]
-    edges += [np.nextafter(binning.lo, -np.inf), np.nextafter(binning.hi, np.inf)]
+    edges = [-binning.half, binning.half]
+    edges += [np.nextafter(-binning.half, -np.inf), np.nextafter(binning.half, np.inf)]
     for row, value in enumerate(edges):
         q[row * 2501, row % 4] = value
         q[row * 2501 + 1] = value
@@ -214,18 +224,19 @@ def test_histogram_sub_block_split_is_exact(monkeypatch, sub):
         np.add.at(ref, (idx[kept, a], idx[kept, b]), 1)
         np.testing.assert_array_equal(h.counts, ref)
         assert (h.n_total, h.overflow) == (q.shape[0], q.shape[0] - int(kept.sum()))
-    # rows at lo and hi land in the first and last bins
+    # rows at -half and half land in the first and last bins
     assert hists[("X1", "P1")].counts[0, 0] >= 1 and hists[("X1", "P1")].counts[7, 7] >= 1
 
 
 def _reference_cells(q, binning):
     """The six pairs' cells by the Binning.index rule written out: a value in
-    [lo, hi] lands in bin floor((v - lo) / width), hi in the last one; any
-    other value goes to bin `bins`, the overflow of each pair on its axis."""
+    [-half, half] lands in bin floor((v + half) / width), half in the last
+    one; any other value goes to bin `bins`, the overflow of each pair on its
+    axis."""
     nbins, side = binning.bins, binning.bins + 1
-    inside = (q >= binning.lo) & (q <= binning.hi)
+    inside = (q >= -binning.half) & (q <= binning.half)
     idx = np.full(q.shape, nbins)
-    idx[inside] = np.minimum(np.floor((q[inside] - binning.lo) / binning.width), nbins - 1)
+    idx[inside] = np.minimum(np.floor((q[inside] + binning.half) / binning.width), nbins - 1)
     cells = np.zeros((len(PAIR_LABELS), side * side), np.int64)
     for row, (x, y) in zip(cells, PAIR_LABELS):
         a, b = tomography._AXIS_INDEX[x], tomography._AXIS_INDEX[y]
@@ -240,9 +251,9 @@ _KERNEL_BLOCKS = [1, 2, _SUB - 1, _SUB, _SUB + 1, _ROWS - 1, _ROWS, _ROWS + 1]
 
 
 def _edge_records(m, seed):
-    binning = Binning(-3.0, 3.0)
+    binning = Binning(3.0)
     q = np.random.default_rng(seed).uniform(-3.2, 3.2, size=(m, 4))
-    edges = [binning.lo, binning.hi, 1e308, -1e308]
+    edges = [-binning.half, binning.half, 1e308, -1e308]
     for k, value in enumerate(edges):
         q[(k * 7919) % m, k] = value  # one axis of a record
         q[(k * 104729 + 1) % m] = value  # every axis of a record
@@ -262,7 +273,7 @@ def test_buffered_histogram_kernel_equals_the_index_rule(m):
 def test_buffered_histogram_kernel_reuses_its_buffers_across_block_lengths():
     # one pass's accumulator takes blocks of every length in turn: each row
     # block uses a part of the buffers made for one row block
-    binning = Binning(-3.0, 3.0)
+    binning = Binning(3.0)
     blocks = [_edge_records(m, seed=m)[1] for m in _KERNEL_BLOCKS + _KERNEL_BLOCKS[::-1]]
     acc = tomography.HistogramAccumulator(binning)
     for block in blocks:
@@ -280,14 +291,14 @@ def test_buffered_histogram_kernel_rejects_non_finite_records(bad, m):
 
 
 def test_histogram_index_buffers_hold_a_quarter_cell():
-    acc = tomography.HistogramAccumulator(Binning(-3.0, 3.0))
+    acc = tomography.HistogramAccumulator(Binning(3.0))
     held = sum(getattr(acc, name).nbytes for name in ("_idx", "_inside", "_scaled", "_lin"))
     assert held <= 384 << 10
 
 
 @pytest.mark.parametrize(
     "make",
-    [MomentAccumulator, lambda: tomography.HistogramAccumulator(Binning(-1.0, 1.0))],
+    [MomentAccumulator, lambda: tomography.HistogramAccumulator(Binning(1.0))],
     ids=["moments", "histograms"],
 )
 def test_accumulators_check_their_blocks_alike(make):
@@ -302,7 +313,7 @@ def test_accumulators_check_their_blocks_alike(make):
 
 
 def test_far_out_of_range_values_are_overflow_without_a_warning():
-    binning = Binning(-1.0, 1.0, bins=8)
+    binning = Binning(1.0, bins=8)
     big = np.finfo(np.float64).max
     q = np.zeros((7, 4))
     q[1, 0] = 1e300
@@ -363,7 +374,7 @@ def _threaded_estimate_matches_serial_kernel(seed):
     raw_on, raw_off = accumulate_moments(batch_of(on)), accumulate_moments(batch_of(off))
     scales = calibrate(raw_off, cfg.noise_pair)
     for est in (streamed, fused_streamed):
-        assert est.tomography.scale_factors == scales
+        assert est.scale_factors == scales
         for got, raw in ((est.moments_on, raw_on), (est.moments_off, raw_off)):
             want = apply_scale(raw, scales)
             assert (got.mean == want.mean).all() and (got.cov == want.cov).all()
@@ -408,7 +419,7 @@ def test_auto_binning_and_moments_reject_non_finite_records():
     with pytest.raises(NonFiniteRecordError):
         auto_binning(batch_from_quadratures(q))
     with pytest.raises(NonFiniteRecordError):
-        accumulate_histograms(batch_of(q), Binning(-2.0, 2.0, 8))
+        accumulate_histograms(batch_of(q), Binning(2.0, 8))
     with pytest.raises(NonFiniteRecordError):
         accumulate_moments(batch_of(q))
 
@@ -418,10 +429,10 @@ def test_batch_readers_take_a_record_batch_only(draws):
     batch = measure(vacuum_state(2), DetectionConfig(), 10, seed=1)
     for read in (
         lambda: auto_binning(q),
-        lambda: accumulate_histograms(q, Binning(-1.0, 1.0, 8)),
+        lambda: accumulate_histograms(q, Binning(1.0, 8)),
         lambda: accumulate_moments(q),
-        lambda: estimate_state(q, q, 69.0),
-        lambda: estimate_state(batch, q, 69.0),
+        lambda: estimate_state(q, q, (69.0, 69.0)),
+        lambda: estimate_state(batch, q, (69.0, 69.0)),
     ):
         with pytest.raises(TypeError, match="records must be a RecordBatch, not ndarray"):
             read()
@@ -429,7 +440,7 @@ def test_batch_readers_take_a_record_batch_only(draws):
 
 
 def test_histogram_merge_rejects_mismatches():
-    b1, b2 = Binning(-1, 1, 8), Binning(-2, 2, 8)
+    b1, b2 = Binning(1, 8), Binning(2, 8)
     h1 = Histogram2D.empty(("X1", "P1"), b1)
     h2 = Histogram2D.empty(("X1", "P1"), b2)
     h3 = Histogram2D.empty(("X1", "X2"), b1)
@@ -440,7 +451,7 @@ def test_histogram_merge_rejects_mismatches():
 
 
 def test_histogram_invariant_enforced():
-    b = Binning(-1, 1, 4)
+    b = Binning(1, 4)
     with pytest.raises(ValueError):
         Histogram2D(("X1", "P1"), b, np.ones((4, 4), np.int64), n_total=3)
     with pytest.raises(ValueError):
@@ -492,7 +503,7 @@ def test_histogram_serialization(tmp_path):
 
 
 def test_moments_single_loaded_bin_clamps_variance():
-    b = Binning(-1.0, 1.0, bins=8)
+    b = Binning(1.0, bins=8)
     q = np.tile([[0.13, 0.13, 0.13, 0.13]], (10, 1))
     h = accumulate_histograms(batch_of(q), b)[("X1", "P1")]
     m = moments_from_histogram(h)
@@ -501,12 +512,17 @@ def test_moments_single_loaded_bin_clamps_variance():
 
 
 def test_moments_two_point_mass():
-    b = Binning(-1.0, 1.0, bins=8)  # centers at +-0.875, ..., +-0.125
+    b = Binning(1.0, bins=8)  # centers at +-0.875, ..., +-0.125
     a = 0.625
     q = np.array([[a, a, a, a], [-a, -a, -a, -a]] * 50, dtype=float)
     m = moments_from_histogram(accumulate_histograms(batch_of(q), b)[("X1", "X2")])
     assert abs(m.var_x - a**2) <= b.width**2 / 12.0 + 1e-12
     assert abs(m.mean_x) < 1e-12
+    # one more record, out of range on X1: the moments are of the 100 in range
+    q = np.vstack([q, [[5.0, 0.0, 0.0, 0.0]]])
+    m = moments_from_histogram(accumulate_histograms(batch_of(q), b)[("X1", "X2")])
+    assert m.var_x == pytest.approx(a**2 - b.width**2 / 12.0, rel=1e-12)
+    assert m.var_y == pytest.approx(a**2 - b.width**2 / 12.0, rel=1e-12)
 
 
 def test_moments_gaussian_matches_unbinned_tolerance():
@@ -514,25 +530,44 @@ def test_moments_gaussian_matches_unbinned_tolerance():
     q = rng.standard_normal((200_000, 4))
     sigma = q[:, 0].std()
     bins = int(np.ceil(12.0 * sigma / (sigma / 5.0)))  # width = sigma/5
-    b = Binning(-6.0 * sigma, 6.0 * sigma, bins)
+    b = Binning(6.0 * sigma, bins)
     m = moments_from_histogram(accumulate_histograms(batch_of(q), b)[("X1", "P1")])
     raw = q[:, 0].var()
     assert abs(m.var_x - raw) / raw < 0.003
 
 
 def test_moments_overflow_gate():
-    b = Binning(-1.0, 1.0, bins=8)
+    b = Binning(1.0, bins=8)
     q = np.zeros((100, 4))
     q[:2, 0] = 5.0  # 2% of records out of range on X1
     h = accumulate_histograms(batch_of(q), b)[("X1", "P1")]
     with pytest.raises(RangeTooSmallError):
         moments_from_histogram(h)
+    q[0, 0] = 0.0  # 1%, the gate itself
+    h = accumulate_histograms(batch_of(q), b)[("X1", "P1")]
+    with pytest.raises(RangeTooSmallError, match="1/100 records overflow"):
+        moments_from_histogram(h)
+
+
+def test_moments_that_overflow_float64_are_an_error():
+    # bin centres whose squares float64 holds, but not 50 of them summed
+    counts = np.zeros((8, 8), np.int64)
+    counts[0, 0] = counts[7, 7] = 50
+    h = Histogram2D(("X1", "P1"), Binning(6e153, 8), counts, n_total=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatOverflowError, match="histogram X1-P1 overflow float64"):
+            moments_from_histogram(h)
 
 
 def test_moments_need_two_in_range_records():
-    h = Histogram2D.empty(("X1", "P1"), Binning(-1, 1, 8))
+    h = Histogram2D.empty(("X1", "P1"), Binning(1, 8))
     with pytest.raises(DegenerateReferenceError):
         moments_from_histogram(h)
+    counts = np.zeros((8, 8), np.int64)
+    counts[3, 3] = 1
+    with pytest.raises(DegenerateReferenceError, match="fewer than 2"):
+        moments_from_histogram(Histogram2D(("X1", "P1"), Binning(1, 8), counts, n_total=1))
 
 
 def test_sheppard_correction_matches_streaming_at_default_binning():
@@ -571,10 +606,10 @@ def test_array_and_record_batch_moments_share_the_block_grid(monkeypatch):
 def test_moment_accumulator_merge_equals_single_pass():
     rng = np.random.default_rng(5)
     q = rng.standard_normal((8192, 4))
-    whole = MomentAccumulator().update(q).finalize()
+    whole = MomentAccumulator().update(q).fold()[0]
     left = MomentAccumulator().update(q[:3000])
     right = MomentAccumulator().update(q[3000:])
-    merged = left.merge(right).finalize()
+    merged = left.merge(right).fold()[0]
     np.testing.assert_allclose(merged.cov, whole.cov, rtol=1e-12)
     np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-12, atol=1e-15)
 
@@ -584,7 +619,8 @@ def test_moment_accumulator_validation():
     with pytest.raises(ValueError):
         acc.update(np.zeros((3, 5)))
     with pytest.raises(DegenerateReferenceError):
-        MomentAccumulator().update(np.zeros((1, 4))).finalize()
+        MomentAccumulator().update(np.zeros((1, 4))).fold()
+    assert MomentAccumulator().update(np.eye(4)[:2]).fold()[0].n == 2
 
 
 def test_moment_set_validation():
@@ -600,6 +636,10 @@ def test_moment_set_validation():
         MomentSet(np.zeros(4), bad, 10)
     with pytest.raises(InvalidCovarianceError):
         MomentSet(np.full(4, np.nan), np.eye(4), 10)
+    # a covariance at the Cauchy-Schwarz bound plus its rounding allowance
+    edge = np.eye(4)
+    edge[0, 1] = edge[1, 0] = 1.0 * (1.0 + 1e-9) + 1e-12
+    assert MomentSet(np.zeros(4), edge, 10).cov[0, 1] == edge[0, 1]
 
 
 def test_moment_set_from_histograms_requires_all_pairs():
@@ -624,14 +664,14 @@ def test_calibrate_recovers_injected_gain_imbalance():
 def test_calibrate_already_calibrated_is_identity():
     cfg = DetectionConfig(gain_ch1=1.0, gain_ch2=1.0)
     off = measure(vacuum_state(2), cfg, 500_000, seed=23, pump_on=False)
-    g1, g2 = calibrate(accumulate_moments(off), 69.0)
+    g1, g2 = calibrate(accumulate_moments(off), (69.0, 69.0))
     assert abs(g1 - 1.0) < 0.005 and abs(g2 - 1.0) < 0.005
 
 
 def test_calibrate_target_formula_at_zero_noise():
     # exact fixed point: variances already equal the target (2*0+2)/4 = 1/2
     ms = MomentSet(np.zeros(4), np.eye(4) * 0.5, 100)
-    assert calibrate(ms, 0.0) == (1.0, 1.0)
+    assert calibrate(ms, (0.0, 0.0)) == (1.0, 1.0)
 
 
 def test_calibrate_per_channel_noise():
@@ -643,10 +683,15 @@ def test_calibrate_per_channel_noise():
 
 def test_calibrate_rejects_degenerate_reference():
     ms = MomentSet(np.zeros(4), np.diag([0.0, 0.0, 1.0, 1.0]), 100)
-    with pytest.raises(DegenerateReferenceError):
-        calibrate(ms, 69.0)
-    with pytest.raises(ValueError):
-        calibrate(MomentSet(np.zeros(4), np.eye(4), 10), -1.0)
+    with pytest.raises(DegenerateReferenceError, match="channel 1 is degenerate"):
+        calibrate(ms, (69.0, 69.0))
+    ms = MomentSet(np.zeros(4), np.diag([1.0, 1.0, 0.0, 0.0]), 100)
+    with pytest.raises(DegenerateReferenceError, match="channel 2 is degenerate"):
+        calibrate(ms, (69.0, 69.0))
+    # n_noise is the (channel 1, channel 2) pair, each >= 0
+    for n_noise in (-1.0, 69.0, (69.0,), (69.0, 69.0, 69.0), (69.0, -1.0), (-1.0, 69.0)):
+        with pytest.raises(ValueError, match="pair of photon numbers"):
+            calibrate(MomentSet(np.zeros(4), np.eye(4), 10), n_noise)
 
 
 def test_apply_scale_algebra():
@@ -743,6 +788,10 @@ def test_fit_validation():
     bad[0, 2] += 1.0
     with pytest.raises(InvalidCovarianceError):
         fit_squeezing(bad)
+    # an asymmetry of exactly 1e-8 of the largest entry (at least 1) passes
+    edge = np.eye(4) / 4.0
+    edge[0, 1] = 1e-8
+    assert fit_squeezing(edge).r == 0.0
 
 
 def _reference_pure_fit(v):
@@ -808,28 +857,31 @@ def test_wigner_grid():
     with pytest.raises(ValueError):
         WignerGrid(extent=-1.0)
     with pytest.raises(ValueError):
+        WignerGrid(extent=0.0)
+    with pytest.raises(ValueError):
         WignerGrid(points=1)
+    assert WignerGrid(extent=1.0, points=2).axis.tolist() == [-1.0, 1.0]
 
 
 def test_reconstruct_vacuum():
     res = reconstruct(np.eye(4) / 4.0)
     assert abs(res.witness_d - 1.0) < 1e-12
     assert res.r_fit == 0.0 and res.n_add_fit == 0.0
-    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=3.0, points=61))["x1_p1"]
+    m = wigner_marginals(res, WignerGrid(extent=3.0, points=61))["x1_p1"]
     center = 30
     assert abs(m.measured[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
     assert abs(m.ideal[center, center] - VACUUM_MARGINAL_PEAK) < 1e-12
     # without a grid, as the README calls it: the default WignerGrid()
-    m = wigner_marginals(res.v, res.r_fit)["x1_p1"]
-    assert np.array_equal(m.x, WignerGrid().axis) and m.measured.shape == (101, 101)
+    m = wigner_marginals(res)["x1_p1"]
+    assert np.array_equal(m.axis, WignerGrid().axis) and m.measured.shape == (101, 101)
     assert abs(m.measured[50, 50] - VACUUM_MARGINAL_PEAK) < 1e-12
 
 
 def test_reconstruct_squeezed_marginal_orientation():
     v = tms_theory_covariance(1.78, 0.264).cov
     res = reconstruct(v)
-    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=4.0, points=81))["x1_x2"]
-    ax = m.x
+    m = wigner_marginals(res, WignerGrid(extent=4.0, points=81))["x1_x2"]
+    ax = m.axis
     k_pos = int(np.argmin(np.abs(ax - 2.0)))
     k_neg = int(np.argmin(np.abs(ax + 2.0)))
     # x1 and x2 are correlated: mass concentrates along the +diagonal
@@ -844,8 +896,13 @@ def test_reconstruct_rejects_grossly_unphysical():
     for v in (np.full((4, 4), np.nan), np.eye(3) / 4.0):
         with pytest.raises(InvalidCovarianceError, match="finite 4x4"):
             reconstruct(v)
-        with pytest.raises(InvalidCovarianceError, match="finite 4x4"):
-            wigner_marginals(v, 0.0)
+    # the largest entry the fits can square, and the next float64 above it
+    largest = tomography._ENTRY_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reconstruct(np.eye(4) * largest).n_add_fit >= 0.0
+        with pytest.raises(FloatOverflowError, match="too large for float64 to square"):
+            reconstruct(np.eye(4) * np.nextafter(largest, np.inf))
 
 
 def test_reconstruct_warns_on_marginal_violation():
@@ -856,7 +913,7 @@ def test_reconstruct_warns_on_marginal_violation():
     # the marginals of the clamped blocks are evaluated without a second warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        marginals = wigner_marginals(v, res.r_fit, WignerGrid(extent=1.0, points=3))
+        marginals = wigner_marginals(res, WignerGrid(extent=1.0, points=3))
     for m in marginals.values():
         assert np.all(np.isfinite(m.measured)) and np.all(m.measured > 0.0)
 
@@ -866,12 +923,10 @@ def _reject_constant(token):
 
 
 def test_reconstruct_json_round_trip(tmp_path):
-    res = reconstruct(
-        tms_theory_covariance(1.1, 0.05).cov,
-        scale_factors=(1.0, 0.98),
-        n_records=(1000, 1000),
-    )
-    d = cli._covariance_payload(res)
+    res = reconstruct(tms_theory_covariance(1.1, 0.05).cov)
+    moments = MomentSet(np.zeros(4), np.eye(4), 1000)
+    est = EstimationResult(res, (1.0, 0.98), None, None, None, moments, moments)
+    d = cli._covariance_payload(est)
     assert len(d["v"]) == 16
     assert d["v"][0] == pytest.approx(np.cosh(2.2) / 4 + 0.025)
     assert d["scale_factors"] == [1.0, 0.98]
@@ -880,14 +935,15 @@ def test_reconstruct_json_round_trip(tmp_path):
     cli._write_json(out, "res.json", d)
     assert json.loads(path.read_text(), parse_constant=_reject_constant) == d
     # covariance.json is strict JSON: a non-finite field is written as null
-    nan_residual = cli._covariance_payload(dataclasses.replace(res, residual=np.nan))
+    nan_res = dataclasses.replace(res, residual=np.nan)
+    nan_residual = cli._covariance_payload(dataclasses.replace(est, tomography=nan_res))
     cli._write_json(out, "res.json", nan_residual)
     assert json.loads(path.read_text(), parse_constant=_reject_constant)["residual"] is None
 
 
 def test_wigner_marginal_csv(tmp_path):
     res = reconstruct(tms_theory_covariance(0.3).cov + 0.01 * np.eye(4))
-    m = wigner_marginals(res.v, res.r_fit, WignerGrid(extent=1.0, points=3))["x1_p1"]
+    m = wigner_marginals(res, WignerGrid(extent=1.0, points=3))["x1_p1"]
     for density in (m.measured, m.ideal):
         out = cli._Outputs(tmp_path)
         cli._write_wigner_csv(out, "w.csv", m, density)
@@ -896,8 +952,8 @@ def test_wigner_marginal_csv(tmp_path):
         # header, then one x,y,density row of reprs per grid point, x-major
         want = ["x1,p1,density\r\n"] + [
             f"{x!r},{y!r},{float(density[i, j])!r}\r\n"
-            for i, x in enumerate(m.x.tolist())
-            for j, y in enumerate(m.y.tolist())
+            for i, x in enumerate(m.axis.tolist())
+            for j, y in enumerate(m.axis.tolist())
         ]
         assert data == "".join(want).encode()
         assert len(data.splitlines()) == 1 + 9
@@ -906,7 +962,7 @@ def test_wigner_marginal_csv(tmp_path):
 
 def test_wigner_csv_is_written_one_x_row_at_a_time(tmp_path):
     res = reconstruct(tms_theory_covariance(1.78).cov)
-    m = wigner_marginals(res.v, res.r_fit, WignerGrid())["x1_x2"]
+    m = wigner_marginals(res, WignerGrid())["x1_x2"]
     out, path = cli._Outputs(tmp_path), tmp_path / "w.csv"
     tracemalloc.start()
     try:
@@ -936,8 +992,8 @@ def test_estimate_state_round_trip_small():
         res = est.tomography
         assert abs(res.r_fit_pure - 1.78) < 0.02
         assert res.n_add_fit < 0.05
-        assert abs(res.scale_factors[1] / res.scale_factors[0] - 1 / 1.02) < 0.01
-        assert res.n_records == (300_000, 300_000)
+        assert abs(est.scale_factors[1] / est.scale_factors[0] - 1 / 1.02) < 0.01
+        assert (est.moments_on.n, est.moments_off.n) == (300_000, 300_000)
     assert hist.binning is not None and stream.binning is None
     assert set(hist.histograms_on) == set(PAIR_LABELS)
     dv = np.abs(hist.tomography.v - stream.tomography.v)
@@ -948,7 +1004,9 @@ def test_estimate_state_round_trip_small():
 def test_estimate_state_validates_method():
     batch = measure(vacuum_state(2), DetectionConfig(), 100, seed=1)
     with pytest.raises(ValueError):
-        estimate_state(batch, batch, 69.0, method="bogus")
+        estimate_state(batch, batch, (69.0, 69.0), method="bogus")
+    with pytest.raises(ValueError, match="need at least 2 bins"):
+        estimate_state(batch, batch, (69.0, 69.0), bins=1)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1031,7 @@ def _assert_same_estimate(got, want):
         assert type(got) is type(want) and str(got) == str(want)
         return
     assert (got.tomography.v == want.tomography.v).all()
-    assert got.tomography.scale_factors == want.tomography.scale_factors
+    assert got.scale_factors == want.scale_factors
     for setting in ("moments_on", "moments_off"):
         a, b = getattr(got, setting), getattr(want, setting)
         assert (a.mean == b.mean).all() and (a.cov == b.cov).all() and a.n == b.n
@@ -1036,6 +1094,16 @@ def test_two_record_histogram_estimate_names_the_unresolved_pair():
         DegenerateReferenceError, match=r"^histogram X1-P1 holds 2 in-range records, too few"
     ):
         estimate_state(on, off, det.noise_pair, method="histogram")
+    # 100 records on the X1 = P1 line and one beyond the range on X1: the
+    # count named is of the records in range
+    q = np.random.default_rng(4).uniform(-0.9, 0.9, size=(101, 4))
+    q[:100, 0] = q[:100, 1] = np.tile([0.625, -0.625], 50)
+    q[100, 0] = 5.0
+    hists = accumulate_histograms(batch_of(q), Binning(1.0, 8))
+    with pytest.raises(
+        DegenerateReferenceError, match=r"^histogram X1-P1 holds 100 in-range records, too few"
+    ):
+        moment_set_from_histograms(hists)
 
 
 @pytest.mark.parametrize("method", ["histogram", "streaming"])
@@ -1155,7 +1223,7 @@ def test_moments_do_not_depend_on_the_block_size(monkeypatch, size):
     acc = MomentAccumulator()
     for lo in range(0, _GRID_N, size):
         acc.update(stored_on[lo : lo + size])
-    assert _same_moments(acc.finalize(), want)
+    assert _same_moments(acc.fold()[0], want)
 
     # the record engine drawing a fused pair in blocks of `size`; each block
     # costs a few thread handoffs, so the tiny blocks draw a short prefix
@@ -1173,19 +1241,19 @@ def test_moments_do_not_depend_on_the_block_size(monkeypatch, size):
 def test_moment_merge_on_cell_boundaries_equals_one_pass():
     rng = np.random.default_rng(8)
     q = rng.standard_normal((_GRID_N, 4)) * [1.0, 2.0, 3.0, 4.0] + [0.5, -1.0, 3.0, 1e3]
-    want = MomentAccumulator().update(q).finalize()
+    want = MomentAccumulator().update(q).fold()[0]
     for cuts in ([_G], [2 * _G], [4 * _G], [_G, 3 * _G], [_G, 2 * _G, 4 * _G]):
         edges = [0, *cuts, _GRID_N]
         shards = [MomentAccumulator().update(q[a:b]) for a, b in zip(edges, edges[1:])]
         left = shards[0]
         for shard in shards[1:]:
             left.merge(shard)
-        assert _same_moments(left.finalize(), want)
+        assert _same_moments(left.fold()[0], want)
         # merging the right-hand shards first gives the same sums
         right = shards[-1]
         for shard in shards[-2:0:-1]:
             right = MomentAccumulator().merge(shard).merge(right)
-        assert _same_moments(MomentAccumulator().update(q[: edges[1]]).merge(right).finalize(), want)
+        assert _same_moments(MomentAccumulator().update(q[: edges[1]]).merge(right).fold()[0], want)
 
 
 @pytest.mark.filterwarnings("ignore:estimated covariance marginally unphysical")
