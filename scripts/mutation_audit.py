@@ -10,8 +10,9 @@ Every site of three mutation classes is listed in source order:
 Each mutant is the module with one site changed.  It runs against that
 module's tests with `pytest -x` in a copy of the repository, so the working
 tree is never touched.  A mutant the tests fail on (or that runs past
-TIMEOUT_S, as a flipped loop bound can) is killed; one they pass on survived,
-and is printed.
+TIMEOUT_FACTOR times the unmutated run, and at least MIN_TIMEOUT_S, as a
+flipped loop bound can) is killed; one they pass on survived, and is
+printed.
 
     python scripts/mutation_audit.py detection gaussian
     python scripts/mutation_audit.py --list detection    # the sites only
@@ -34,14 +35,15 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "jpatomo"
-TIMEOUT_S = 600.0  # per mutant run
+TIMEOUT_S = 600.0  # the unmutated run
+TIMEOUT_FACTOR, MIN_TIMEOUT_S = 5.0, 60.0  # a mutant run, against the unmutated one
 
 # the tests that exercise each module
 TESTS = {
     "cli": ["tests/test_config_cli.py"],
     "config": ["tests/test_config_cli.py"],
     "detection": ["tests/test_detection.py", "tests/test_tomography.py"],
-    "device": ["tests/test_device.py"],
+    "device": ["tests/test_device.py", "tests/test_acceptance.py", "tests/test_config_cli.py"],
     "gaussian": ["tests/test_gaussian.py", "tests/test_detection.py"],
     "tomography": [
         "tests/test_tomography.py",
@@ -138,20 +140,20 @@ def mutant_source(source: str, site: Site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def run_tests(copy: Path, tests: list[str]) -> bool:
-    """True if the tests pass in `copy`; a run past TIMEOUT_S counts as a
-    failure."""
+def run_tests(copy: Path, tests: list[str], timeout: float) -> bool:
+    """True if the tests pass in `copy`; a run past `timeout` seconds counts
+    as a failure."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=copy, capture_output=True, timeout=TIMEOUT_S, check=False
+            command, cwd=copy, capture_output=True, timeout=timeout, check=False
         )
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
 
 
-def audit(module: str, copy: Path) -> list[str]:
+def audit(module: str, copy: Path, timeout: float) -> list[str]:
     """The survivors of `module`'s mutants, as printed lines."""
     path = copy / PACKAGE / f"{module}.py"
     source = path.read_text()
@@ -162,7 +164,7 @@ def audit(module: str, copy: Path) -> list[str]:
         for n, site in enumerate(found, 1):
             path.write_text(mutant_source(source, site))
             started = time.perf_counter()
-            passed = run_tests(copy, tests)
+            passed = run_tests(copy, tests, timeout)
             label = f"{module}.py:{site}"
             verdict = "SURVIVED" if passed else "killed"
             print(
@@ -199,11 +201,17 @@ def main(argv=None) -> int:
                 ".git", "__pycache__", ".hypothesis", ".perfbench_out", "out"
             ),
         )
+        timeouts = {}
         for module in args.modules:
-            if not run_tests(copy, TESTS[module]):
+            started = time.perf_counter()
+            if not run_tests(copy, TESTS[module], TIMEOUT_S):
                 print(f"{module}: the unmutated tests fail; nothing to audit")
                 return 1
-        survivors = [line for module in args.modules for line in audit(module, copy)]
+            elapsed = time.perf_counter() - started
+            timeouts[module] = max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * elapsed)
+        survivors = [
+            line for module in args.modules for line in audit(module, copy, timeouts[module])
+        ]
     print(f"{len(survivors)} survivors")
     for line in survivors:
         print(f"  {line}")

@@ -64,7 +64,6 @@ class FilterSpec:
     distinct modes only where their bands share no frequency.
     """
 
-    offset: float
     grid: NDArray[np.float64]
     weights: NDArray[np.complex128]
 
@@ -80,7 +79,9 @@ class FilterSpec:
             raise UnsupportedFilterError("grid must be uniform")
         if np.max(np.abs(grid + grid[::-1])) > 1e-9 * np.max(np.abs(grid)):
             raise UnsupportedFilterError("grid must be symmetric about zero")
-        norm = np.sum(np.abs(weights) ** 2) * self.spacing_of(grid)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        norm = np.sum(np.abs(weights) ** 2) * self.spacing
         if abs(norm - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"filter normalization {norm} deviates from 1")
         if weights[grid.size // 2] != 0.0:
@@ -92,18 +93,12 @@ class FilterSpec:
                 "the two channels share frequencies and select no two distinct "
                 "modes (design_filter's bands are apart for offset >= width / 2)"
             )
-        grid.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "weights", weights)
-
-    @staticmethod
-    def spacing_of(grid: NDArray[np.float64]) -> float:
-        return float((grid[-1] - grid[0]) / (grid.size - 1))
 
     @property
     def spacing(self) -> float:
-        return self.spacing_of(self.grid)
+        return float((self.grid[-1] - self.grid[0]) / (self.grid.size - 1))
 
     @property
     def mirrored_weights(self) -> NDArray[np.complex128]:
@@ -166,7 +161,7 @@ def design_filter(
     if mass <= 0.0:
         raise InvalidGridError("filter support does not intersect the grid")
     w = w / np.sqrt(mass)
-    return FilterSpec(offset=offset, grid=grid, weights=w.astype(np.complex128))
+    return FilterSpec(grid=grid, weights=w.astype(np.complex128))
 
 
 def predicted_r(filt: FilterSpec, profile: GainProfile) -> float:
@@ -416,7 +411,7 @@ def _record_blocks(
     boundaries equal one pass bit for bit.  Each block is drawn once and
     yields one C-contiguous (m, 4) block per source,
 
-        (z @ chol.T + mean + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
+        (z @ chol.T + aux * (sd1, -sd1, sd2, -sd2)) * (g1, g1, g2, g2),
 
     whose columns are (Re S1, Im S1, Re S2, Im S2).  Only `RecordBatch._read`
     and `_paired_blocks` start a pass.
@@ -449,7 +444,6 @@ def _record_blocks(
     sd1 = np.sqrt((2.0 * n1 + 1.0) / 4.0)
     sd2 = np.sqrt((2.0 * n2 + 1.0) / 4.0)
     noise_sd = _tiled([sd1, -sd1, sd2, -sd2])
-    means = [_tiled(source.mean) for source in sources]
     gains = _tiled([config.gain_ch1, config.gain_ch1, config.gain_ch2, config.gain_ch2])
     rng_sig, rng_noise = (
         np.random.Generator(
@@ -489,11 +483,11 @@ def _record_blocks(
                 # thread builds the first, then draws block k + 1's aux into
                 # the other slot
                 builds = [
-                    worker.submit(_build_block, block, z, aux, chol, mean, gains)
-                    for block, chol, mean in zip(blocks[1:], chols[1:], means[1:])
+                    worker.submit(_build_block, block, z, aux, chol, gains)
+                    for block, chol in zip(blocks[1:], chols[1:])
                 ]
                 pending = next_noise(k + 1)
-                _build_block(blocks[0], z, aux, chols[0], means[0], gains)
+                _build_block(blocks[0], z, aux, chols[0], gains)
                 for build in builds:
                     build.result()
                 yield blocks
@@ -526,10 +520,10 @@ def _columnwise(ufunc, rows: NDArray[np.float64], tiled: NDArray[np.float64]) ->
     ufunc(flat[cut:], tiled[: flat.size - cut], out=flat[cut:])
 
 
-def _build_block(block, z, aux, chol, mean, gains) -> None:
-    """block[:] = (z @ chol.T + mean + aux) * gains.
+def _build_block(block, z, aux, chol, gains) -> None:
+    """block[:] = (z @ chol.T + aux) * gains.
 
-    `mean` and `gains` are `_tiled` per-column vectors (see _columnwise).  A
+    `gains` is a `_tiled` per-column vector (see _columnwise).  A
     one-row block comes from a two-row product: numpy hands a one-row matmul
     to gemv, whose rounding differs from gemm's, and no record may depend on
     the block it falls in.
@@ -538,7 +532,6 @@ def _build_block(block, z, aux, chol, mean, gains) -> None:
         block[:] = np.matmul(np.repeat(z, 2, axis=0), chol.T)[:1]
     else:
         np.matmul(z, chol.T, out=block)
-    _columnwise(np.add, block, mean)
     block += aux
     _columnwise(np.multiply, block, gains)
 

@@ -100,13 +100,12 @@ DEFAULT_GAIN_ANCHOR = GainAnchor()
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Lorentzian gain profile: peak g0 (power gain), full bandwidth (rad/s,
-    from MIN_BANDWIDTH, about 2.5e-146, to MAX_BANDWIDTH, about 1.1e153),
-    pump."""
+    """Lorentzian gain profile: peak g0 (power gain) and full bandwidth
+    (rad/s, from MIN_BANDWIDTH, about 2.5e-146, to MAX_BANDWIDTH, about
+    1.1e153)."""
 
     g0: float
     bandwidth: float
-    omega_p: float
 
     def __post_init__(self) -> None:
         if self.g0 < 1:
@@ -192,7 +191,7 @@ def gain_profile(
     if not math.isfinite(g0):
         raise FloatOverflowError(f"the gain model's peak gain {g0!r} overflows float64")
     bandwidth = params.gain_bandwidth_const * params.kappa / np.sqrt(g0)
-    return GainProfile(g0=g0, bandwidth=bandwidth, omega_p=pump.omega_p)
+    return GainProfile(g0=g0, bandwidth=bandwidth)
 
 
 def gain(delta, profile: GainProfile):
@@ -359,14 +358,16 @@ def fit_psd(samples) -> PsdFit:
     1e-6 wide.  An interior optimum is then polished in all three
     parameters by Gauss-Newton steps with the analytic Jacobian until the
     relative step is below 1e-12 or the cost stops falling; more than 50
-    steps raise NoConvergenceError.  Standard errors are s^2 pinv(J^T J) at
-    the fit.  Exactly flat data collapses to the identifiable limit (g0 -> 1,
-    n_noise = mean).  Where the best fit has no peak (g0 = 1, as for data
-    rising away from delta = 0 or lying below zero) the bandwidth is
-    unidentified: it and the g0 and bandwidth errors are nan, and n_noise
-    gets the error of a constant fit.  Data without detuning spread cannot
-    constrain the bandwidth and raises FitDegenerateError, and samples whose
-    sum of squares overflows float64 raise FloatOverflowError.
+    steps raise NoConvergenceError.  Standard errors are the square roots of
+    the diagonal of s^2 pinv(J^T J) at the fit, with J's columns scaled to
+    unit norm for the pseudo-inverse, so that they scale with the units of
+    the detunings.  Exactly flat data collapses to the identifiable limit
+    (g0 -> 1, n_noise = mean).  Where the best fit has no peak (g0 = 1, as
+    for data rising away from delta = 0 or lying below zero) the bandwidth
+    is unidentified: it and the g0 and bandwidth errors are nan, and
+    n_noise gets the error of a constant fit.  Data without detuning spread
+    cannot constrain the bandwidth and raises FitDegenerateError, and
+    samples whose sum of squares overflows float64 raise FloatOverflowError.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -435,7 +436,7 @@ def fit_psd(samples) -> PsdFit:
 
     resid, jac = _residual_jacobian(x, deltas, values)
     cost = float(resid @ resid)
-    if amp > 0.0 and noise > 0.0 and x[1] > b_min:
+    if noise > 0.0 and x[1] > b_min:  # amp > 0: amp = 0 returned above
         for _ in range(_POLISH_STEPS):
             step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
             trial = x + step
@@ -452,7 +453,12 @@ def fit_psd(samples) -> PsdFit:
             raise NoConvergenceError("PSD fit hit the Gauss-Newton step cap")
 
     s2 = cost / (n - 3)
-    err = np.sqrt(np.maximum(np.diag(s2 * np.linalg.pinv(jac.T @ jac)), 0.0))
+    # the bandwidth column scales as 1 / B: unscaled, pinv's relative cutoff
+    # drops it once B is far from 1 rad/s
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    unit = jac / norms
+    err = np.sqrt(np.maximum(np.diag(s2 * np.linalg.pinv(unit.T @ unit)), 0.0)) / norms
     return PsdFit(
         g0=float(x[0]),
         bandwidth=float(x[1]),

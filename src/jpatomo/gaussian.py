@@ -1,11 +1,11 @@
 """Gaussian states on quadrature phase space.
 
 Conventions: annihilation operators are split as b = x + i*p, so the vacuum
-variance of every quadrature is 1/4 and [x, p] = i/2.  Mean vectors and
-covariance matrices are ordered (x1, p1, x2, p2, ...).  A two-mode squeezed
-vacuum with parameter r has diagonal entries cosh(2r)/4, cross covariances
-<x1 x2> = +sinh(2r)/4 and <p1 p2> = -sinh(2r)/4, and squeezed combinations
-Var(x1 - x2) = Var(p1 + p2) = exp(-2r)/2.
+variance of every quadrature is 1/4 and [x, p] = i/2.  A state has zero
+mean and is its covariance matrix, ordered (x1, p1, x2, p2, ...).  A
+two-mode squeezed vacuum with parameter r has diagonal entries cosh(2r)/4,
+cross covariances <x1 x2> = +sinh(2r)/4 and <p1 p2> = -sinh(2r)/4, and
+squeezed combinations Var(x1 - x2) = Var(p1 + p2) = exp(-2r)/2.
 """
 
 from __future__ import annotations
@@ -32,58 +32,45 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero- or finite-mean Gaussian state held as (mean, covariance).
+    """Zero-mean Gaussian state, which its covariance fully determines.
 
-    Parameters
-    ----------
-    n_modes:
-        Number of bosonic modes (>= 1).
-    mean:
-        Quadrature mean vector of length 2 * n_modes.
-    cov:
-        Symmetric covariance matrix, shape (2 n, 2 n).  Symmetry is required
-        within 1e-12 relative; the stored matrix is the symmetrized copy.
-        Positive semi-definiteness is *not* enforced here: estimated
-        covariances are allowed to be marginally indefinite, and the places
-        that need a factorization (sampling, Wigner evaluation) check there.
+    `cov` is the symmetric covariance matrix, shape (2 n, 2 n) for n >= 1
+    modes (ValueError otherwise).  Symmetry is required within 1e-12
+    relative; the stored matrix is the symmetrized copy.  Positive
+    semi-definiteness is *not* enforced here: estimated covariances are
+    allowed to be marginally indefinite, and the places that need a
+    factorization (sampling, Wigner evaluation) check there.
     """
 
-    n_modes: int
-    mean: NDArray[np.float64]
     cov: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        dim = 2 * self.n_modes
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1).copy()
         cov = np.asarray(self.cov, dtype=np.float64).copy()
-        if mean.shape != (dim,):
-            raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
-        if cov.shape != (dim, dim):
-            raise ValueError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and cov must be finite")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2 or not cov.size:
+            raise ValueError(f"cov must have shape (2 n, 2 n) with n >= 1, got {cov.shape}")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("cov must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > _SYMMETRY_RTOL * scale:
             raise ValueError("cov is not symmetric within 1e-12 relative")
         cov = 0.5 * (cov + cov.T)
-        mean.setflags(write=False)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
-        return 2 * self.n_modes
+        return self.cov.shape[0]
+
+    @property
+    def n_modes(self) -> int:
+        return self.dim // 2
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
-    """Vacuum: zero mean, covariance I/4."""
+    """Vacuum: covariance I/4."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    dim = 2 * n_modes
-    return GaussianState(n_modes, np.zeros(dim), np.eye(dim) / 4.0)
+    return GaussianState(np.eye(2 * n_modes) / 4.0)
 
 
 def two_mode_squeeze_symplectic(r: float) -> NDArray[np.float64]:
@@ -105,7 +92,7 @@ def two_mode_squeeze_symplectic(r: float) -> NDArray[np.float64]:
 
 
 def two_mode_squeeze(state: GaussianState, r: float) -> GaussianState:
-    """Apply the two-mode squeezer: mean -> S mean, cov -> S cov S^T."""
+    """Apply the two-mode squeezer: cov -> S cov S^T."""
     if state.n_modes != 2:
         raise ValueError("two_mode_squeeze requires a 2-mode state")
     if not np.isfinite(r):
@@ -114,7 +101,7 @@ def two_mode_squeeze(state: GaussianState, r: float) -> GaussianState:
     cov = s_mat @ state.cov @ s_mat.T
     # the congruence of a symmetric matrix is symmetric; rounding breaks that
     # by ~eps * cosh(2r)^2 * |cov|, which the constructor would reject
-    return GaussianState(2, s_mat @ state.mean, (cov + cov.T) / 2.0)
+    return GaussianState((cov + cov.T) / 2.0)
 
 
 def symmetric_two_mode_state(var: float, xx: float, xp: float) -> GaussianState:
@@ -129,15 +116,15 @@ def symmetric_two_mode_state(var: float, xx: float, xp: float) -> GaussianState:
             [xp, -xx, 0.0, var],
         ]
     )
-    return GaussianState(2, np.zeros(4), cov)
+    return GaussianState(cov)
 
 
 def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
     """Closed-form two-mode squeezed vacuum plus symmetric excess noise.
 
     Diagonal entries cosh(2r)/4 + n_add/2, cross terms <x1 x2> = sinh(2r)/4
-    and <p1 p2> = -sinh(2r)/4, zero mean.  An entry beyond the float64
-    range raises FloatOverflowError.
+    and <p1 p2> = -sinh(2r)/4.  An entry beyond the float64 range raises
+    FloatOverflowError.
     """
     if not np.isfinite(r):
         raise ValueError("r must be finite")
@@ -152,7 +139,7 @@ def tms_theory_covariance(r: float, n_add: float = 0.0) -> GaussianState:
 
 
 def wigner(state: GaussianState, points: NDArray[np.float64]) -> np.ndarray | float:
-    """Wigner density W(alpha) = exp(-(a-m) V^-1 (a-m)/2) / ((2 pi)^n sqrt(det V)).
+    """Wigner density W(a) = exp(-a V^-1 a / 2) / ((2 pi)^n sqrt(det V)).
 
     Accepts a single phase-space point of length 2n or an array of points
     with shape (..., 2n); returns a float or an array of matching shape.
@@ -164,8 +151,8 @@ def wigner(state: GaussianState, points: NDArray[np.float64]) -> np.ndarray | fl
     det = float(np.linalg.det(state.cov))
     if det <= 1e-300:
         raise SingularCovarianceError(f"covariance determinant {det} too small")
-    diff = (pts - state.mean).reshape(-1, state.dim)
-    quad = np.einsum("ni,ni->n", diff, np.linalg.solve(state.cov, diff.T).T)
+    flat = pts.reshape(-1, state.dim)
+    quad = np.einsum("ni,ni->n", flat, np.linalg.solve(state.cov, flat.T).T)
     dens = np.exp(-0.5 * quad) / ((2.0 * np.pi) ** state.n_modes * np.sqrt(det))
     return float(dens[0]) if single else dens.reshape(pts.shape[:-1])
 
@@ -178,8 +165,7 @@ def marginal(state: GaussianState, indices: tuple[int, int]) -> GaussianState:
     for k in (i, j):
         if not 0 <= k < state.dim:
             raise ValueError(f"index {k} out of range for {state.dim} quadratures")
-    sel = [i, j]
-    return GaussianState(1, state.mean[sel], state.cov[np.ix_(sel, sel)])
+    return GaussianState(state.cov[np.ix_([i, j], [i, j])])
 
 
 def witness(state: GaussianState) -> float:

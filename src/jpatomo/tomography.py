@@ -143,13 +143,19 @@ def auto_binning(
 
 
 def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Binning:
-    """The auto_binning rule applied to the (m, 4) prefix quadratures."""
+    """The auto_binning rule applied to the (m, 4) prefix quadratures.
+
+    The square range follows the widest quadrature; one whose spread is
+    below half a bin width falls in a few bins and raises
+    DegenerateReferenceError naming it.
+    """
     if prefix.shape[0] < 2:
         raise DegenerateReferenceError("need at least 2 records to choose a range")
     if not np.isfinite(prefix).all():
         raise NonFiniteRecordError("record prefix holds an infinite or NaN quadrature")
     with np.errstate(over="ignore"):  # checked below
-        sigma = float(np.max(prefix.std(axis=0)))
+        spreads = prefix.std(axis=0)
+    sigma = float(np.max(spreads))
     if not np.isfinite(sigma):
         raise FloatOverflowError("the record prefix's spread overflows float64")
     if sigma <= 0.0:
@@ -159,11 +165,20 @@ def _prefix_binning(prefix: NDArray[np.float64], bins: int, sigmas: float) -> Bi
     if not np.isfinite((2.0 * half) * (2.0 * half)):
         raise FloatOverflowError(f"bin_sigmas = {sigmas!r} overflows the squared bin range")
     try:
-        return Binning(half, bins)
+        binning = Binning(half, bins)
     except ValueError as exc:  # a range that rounds to 0, or edges that coincide
         if bins < 2:
             raise
         raise DegenerateReferenceError(f"bin_sigmas = {sigmas!r}: {exc}") from exc
+    k = int(np.argmin(spreads))
+    if spreads[k] < binning.width / 2.0:
+        raise DegenerateReferenceError(
+            f"quadrature {AXIS_LABELS[k]} of channel {k // 2 + 1} spreads {spreads[k]:.3e}, "
+            f"below half a bin width ({binning.width / 2.0:.3e}) of the range the widest "
+            'quadrature sets, so no histogram resolves it; use run.method = "streaming", '
+            "or channel gains closer to each other"
+        )
+    return binning
 
 
 @dataclass
@@ -465,7 +480,7 @@ class MomentAccumulator:
             )
         mean = total[:4] / self.n
         cov = total[4:].reshape(4, 4) / self.n - np.outer(mean, mean)
-        return MomentSet(mean, 0.5 * (cov + cov.T), self.n), None
+        return MomentSet(mean, cov, self.n), None
 
 
 def accumulate_moments(records: RecordBatch) -> MomentSet:
@@ -574,8 +589,7 @@ def deconvolve(moments_on: MomentSet, moments_off: MomentSet) -> NDArray[np.floa
             f"pump-off variance {var_off:.3e} is too large for float64 to "
             "resolve the vacuum quarter"
         )
-    v = moments_on.cov - moments_off.cov + 0.25 * np.eye(4)
-    return 0.5 * (v + v.T)
+    return moments_on.cov - moments_off.cov + 0.25 * np.eye(4)
 
 
 _UPPER = np.triu_indices(4)
@@ -712,7 +726,7 @@ def _marginal_density(
     floor = 1e-6 * max(float(np.mean(np.diag(state.cov))), 1e-6)
     if evals[0] < floor:
         sub = evecs @ np.diag(np.maximum(evals, floor)) @ evecs.T
-        block = GaussianState(1, block.mean, 0.5 * (sub + sub.T))
+        block = GaussianState(0.5 * (sub + sub.T))
     ax = grid.axis
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([xx, yy], axis=-1)
@@ -763,7 +777,7 @@ def reconstruct(v: NDArray[np.float64]) -> TomographyResult:
         residual=fit.residual,
         r_fit_pure=fit.r_pure,
         residual_pure=fit.residual_pure,
-        witness_d=witness(GaussianState(2, np.zeros(4), v)),
+        witness_d=witness(GaussianState(v)),
     )
 
 
@@ -775,7 +789,7 @@ def wigner_marginals(
     `r_fit`, on `grid` (default WignerGrid())."""
     if grid is None:
         grid = WignerGrid()
-    state = GaussianState(2, np.zeros(4), result.v)
+    state = GaussianState(result.v)
     ideal = tms_theory_covariance(result.r_fit, 0.0)
     return {
         name: WignerMarginal(

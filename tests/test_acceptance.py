@@ -83,7 +83,6 @@ def test_criterion_2_predicted_r_matches_output_diagonals():
         profile = GainProfile(
             g0=rng.uniform(2.0, 200.0),
             bandwidth=TWO_PI * rng.uniform(1e6, 8e6),
-            omega_p=DEFAULT_PUMP.omega_p,
         )
         filt = design_filter(
             TWO_PI * 5e6, "raised-cosine-notch", TWO_PI * rng.uniform(0.5e6, 6e6), 2001
@@ -94,7 +93,7 @@ def test_criterion_2_predicted_r_matches_output_diagonals():
         worst = max(worst, float(np.max(np.abs(r_diag - r_pred))))
     assert worst <= 1e-9
 
-    flat = GainProfile(g0=4.0, bandwidth=1e15, omega_p=DEFAULT_PUMP.omega_p)
+    flat = GainProfile(g0=4.0, bandwidth=1e15)
     filt = design_filter(TWO_PI * 5e6, "raised-cosine-notch", TWO_PI * 4e6, 2001)
     flat_err = abs(predicted_r(filt, flat) - ARCCOSH_2)
     assert flat_err <= 1e-12
@@ -167,7 +166,7 @@ def test_criterion_6_deconvolution_unbiased_and_physical():
             method="streaming",
         )
         v_hat = deconvolve(est.moments_on, est.moments_off)
-        assert is_physical(GaussianState(2, np.zeros(4), v_hat), tol=1e-6)
+        assert is_physical(GaussianState(v_hat), tol=1e-6)
         estimates.append(v_hat)
     stack = np.array(estimates)
     mean = stack.mean(axis=0)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import typing
 import warnings
 from pathlib import Path
@@ -137,7 +138,8 @@ def test_builders_convert_hz_to_angular():
     device = cfg.device.build()
     assert device.omega_r_max == pytest.approx(2 * math.pi * 6.9e9, rel=1e-15)
     filt = cfg.filter.build()
-    assert filt.offset == pytest.approx(2 * math.pi * 5e6, rel=1e-15)
+    # the default span is offset + 3 width
+    assert filt.grid[-1] == pytest.approx(2 * math.pi * (5e6 + 3 * 4e6), rel=1e-15)
 
 
 def test_every_config_field_has_a_handled_type():
@@ -329,6 +331,11 @@ def test_flux_sweep_outputs(tmp_path):
     assert np.all(np.diff(data[:, 1]) < 0)
     assert manifest["results"]["monotone_decreasing"] is True
     assert set(manifest["outputs"]) == {"config.json", "flux_sweep.csv"}
+    # two fluxes whose frequencies float64 cannot part: not decreasing
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, flux_max=1e-9, flux_points=2))
+    manifest = run_scenario("flux-sweep", cfg, tmp_path / "close")
+    assert manifest["results"]["monotone_decreasing"] is False
 
 
 def _csv_module_bytes(path, header, rows) -> bytes:
@@ -747,7 +754,9 @@ def test_run_scenario_rejects_unknown_name(tmp_path):
 
 
 def test_manifest_fields(tmp_path):
+    started = time.perf_counter()
     manifest = run_scenario("flux-sweep", default_config(), tmp_path)
+    assert manifest["wall_clock_s"] <= time.perf_counter() - started
     assert manifest["scenario"] == "flux-sweep"
     assert manifest["seed"] == default_config().run.seed
     assert len(manifest["config_sha256"]) == 64
@@ -1217,6 +1226,14 @@ _CHANGES = st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=2, unique=Tru
 @example(changes=((("run", "bin_sigmas"), 1e155),), scenario="tomography")
 @example(changes=((("run", "n_add_true"), 1e155), (("run", "method"), "streaming")),
          scenario="tomography")
+# channel gains so far apart that the shared histogram range cannot resolve
+# the smaller channel
+@example(changes=((("detection", "gain_ch1"), 22.0),), scenario="tomography")
+@example(changes=((("detection", "gain_ch2"), 1e6), (("detection", "n_noise"), 0.0)),
+         scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 1e145),), scenario="tomography")
+@example(changes=((("detection", "gain_ch1"), 10.0), (("run", "bins"), 16)),
+         scenario="tomography")
 @settings(
     derandomize=True,
     max_examples=150,
@@ -1246,6 +1263,32 @@ def test_cli_exits_0_2_3_or_4_on_any_config(tmp_path, capsys, draws, changes, sc
     assert unexpected == []
     if code == 2:  # a config error stops the run before its record pass
         assert draws == []
+
+
+@pytest.mark.parametrize(
+    ("override", "channel"),
+    [
+        ('{"detection": {"gain_ch1": 22}}', 2),
+        ('{"detection": {"gain_ch2": 1e6, "n_noise": 0}}', 1),
+        ('{"detection": {"gain_ch1": 1e145}}', 2),
+        ('{"detection": {"gain_ch1": 10}, "run": {"bins": 16}}', 2),
+    ],
+    ids=["gain-22", "gain-1e6-ch2-no-noise", "gain-1e145", "gain-10-16-bins"],
+)
+def test_cli_histogram_names_the_channel_its_range_cannot_resolve(
+    tmp_path, capsys, override, channel
+):
+    # the square range follows the wider channel; the other one's spread is
+    # below half a bin, which the estimate would otherwise report as an
+    # unphysical covariance, a degenerate reference or a pair histogram too
+    # few to resolve
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(override)
+    args = ["--config", str(cfg_path), "--records", "100000", "--out", str(tmp_path / "o")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"of channel {channel} spreads" in err and "below half a bin width" in err
+    assert '"streaming"' in err
 
 
 @pytest.mark.parametrize("n_noise", ["1e30", "1e40", "1e300"])
@@ -1405,7 +1448,7 @@ _GOLDEN_STREAMING_SEED7 = {
 }
 _GOLDEN_PSD = {
     "psd.csv": "7e3121f108c47da2e06e9a377a80fa7c908d7f8352426896c3ed94e6a9f8e42b",
-    "psd_fit.json": "850f97e5b89bcd53a61316fa0291b036a5ffa505200c26027d6e4015fbc3b61e",
+    "psd_fit.json": "8c8b15924c6408fe56f500ae31ce34ff0350aa94d28eb69611adf47d0e0d9e68",
 }
 _GOLDEN_FLUX_SWEEP = {
     "config.json": "703bb921d4b92e60dd4f9ed814826bc3ccbdb31d0f8ed2bb3a88ba8a555db93c",

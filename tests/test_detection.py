@@ -58,7 +58,7 @@ def default_filter() -> FilterSpec:
 
 def flat_profile(g0: float) -> GainProfile:
     # Bandwidth so large the Lorentzian is constant across any lab-scale grid.
-    return GainProfile(g0=g0, bandwidth=1e15, omega_p=TWO_PI * 6.8834e9)
+    return GainProfile(g0=g0, bandwidth=1e15)
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +156,23 @@ def test_filterspec_rejects_bad_grids():
     grid = (np.arange(5) - 2) * 1.0
     w = np.array([0.0, 0.0, 0.0, 1.0, 1.0], dtype=np.complex128)  # one-sided
     w = w / np.sqrt(np.sum(np.abs(w) ** 2) * 1.0)
-    FilterSpec(offset=1.5, grid=grid, weights=w)  # sane baseline accepted
-    FilterSpec(offset=1.0, grid=grid[1:4], weights=np.array([0, 0, 1], complex))  # 3 nodes
+    FilterSpec(grid=grid, weights=w)  # sane baseline accepted
+    FilterSpec(grid=grid[1:4], weights=np.array([0, 0, 1], complex))  # 3 nodes
     with pytest.raises(UnsupportedFilterError, match="shapes differ"):
-        FilterSpec(offset=1.5, grid=grid, weights=w[1:4])
+        FilterSpec(grid=grid, weights=w[1:4])
     with pytest.raises(UnsupportedFilterError):
-        FilterSpec(offset=0.0, grid=grid + 0.5, weights=w)  # asymmetric
+        FilterSpec(grid=grid + 0.5, weights=w)  # asymmetric
     with pytest.raises(UnsupportedFilterError):
-        FilterSpec(offset=0.0, grid=grid**3, weights=w)  # non-uniform
+        FilterSpec(grid=grid**3, weights=w)  # non-uniform
     with pytest.raises(UnsupportedFilterError):
-        FilterSpec(offset=0.0, grid=np.arange(4) - 1.5, weights=w[:4])  # even
+        FilterSpec(grid=np.arange(4) - 1.5, weights=w[:4])  # even
     with pytest.raises(ValueError):
-        FilterSpec(offset=0.0, grid=grid, weights=2.0 * w)  # unnormalized
+        FilterSpec(grid=grid, weights=2.0 * w)  # unnormalized
     bad = w.copy()
     bad[2] = bad[3]
     bad = bad / np.sqrt(np.sum(np.abs(bad) ** 2))
     with pytest.raises(ValueError):
-        FilterSpec(offset=1.5, grid=grid, weights=bad)  # pump bin not zero
+        FilterSpec(grid=grid, weights=bad)  # pump bin not zero
 
 
 def test_filterspec_rejects_a_filter_that_overlaps_its_mirror():
@@ -180,11 +180,11 @@ def test_filterspec_rejects_a_filter_that_overlaps_its_mirror():
     grid = (np.arange(5) - 2) * 1.0
     w = np.array([1.0, 1.0, 0.0, 1.0, 1.0], dtype=np.complex128) / 2.0
     with pytest.raises(UnsupportedFilterError, match="overlaps its mirror at 4 grid points"):
-        FilterSpec(offset=0.0, grid=grid, weights=w)
+        FilterSpec(grid=grid, weights=w)
     # one shared point is enough
     w = np.array([0.0, 1.0, 0.0, 1.0, 1.0], dtype=np.complex128) / np.sqrt(3.0)
     with pytest.raises(UnsupportedFilterError, match="at 2 grid points"):
-        FilterSpec(offset=1.0, grid=grid, weights=w)
+        FilterSpec(grid=grid, weights=w)
 
 
 @pytest.mark.parametrize("shape", ["boxcar-notch", "raised-cosine-notch"])
@@ -224,9 +224,9 @@ def test_predicted_r_rejects_subunity_integral():
     grid = (np.arange(2001) - 1000) * (TWO_PI * 17.0e6 / 1000)
     w = np.zeros(2001)
     w[-1] = 1.0
-    w = w / np.sqrt(np.sum(w**2) * FilterSpec.spacing_of(grid))
-    filt = FilterSpec(offset=grid[-1], grid=grid, weights=w.astype(np.complex128))
-    flat_unit = GainProfile(g0=1.0, bandwidth=1e15, omega_p=TWO_PI * 6.8834e9)
+    w = w / np.sqrt(np.sum(w**2) * ((grid[-1] - grid[0]) / (grid.size - 1)))
+    filt = FilterSpec(grid=grid, weights=w.astype(np.complex128))
+    flat_unit = GainProfile(g0=1.0, bandwidth=1e15)
     # all the filter mass sits on an endpoint, where the trapezoid rule keeps
     # only half of it: the integral lands at 1/2, far below the physical floor
     with pytest.raises(InternalConsistencyError):
@@ -427,7 +427,7 @@ def _complex_column_records(state, config, n, seed, chunk):
     )
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        quads = state.mean + rng_sig.standard_normal((hi - lo, 4)) @ chol.T
+        quads = rng_sig.standard_normal((hi - lo, 4)) @ chol.T
         aux = rng_noise.standard_normal((hi - lo, 4)) * noise_sd
         s1[lo:hi] = config.gain_ch1 * (
             (quads[:, 0] + aux[:, 0]) + 1j * (quads[:, 1] - aux[:, 1])
@@ -451,7 +451,7 @@ def test_measure_store_equals_complex_column_construction(monkeypatch):
 
 
 def _whole_chunk_records(source, config, n, seed, chunk):
-    """(z @ chol.T + mean + aux * sd) * g over each whole chunk, with all
+    """(z @ chol.T + aux * sd) * g over each whole chunk, with all
     of z and aux drawn at once from spawn keys (0, 0) and (0, 1)."""
     z, aux = (
         np.random.Generator(
@@ -466,7 +466,7 @@ def _whole_chunk_records(source, config, n, seed, chunk):
     records = np.empty((n, 4))
     for lo in range(0, n, chunk):
         c = slice(lo, lo + chunk)
-        records[c] = (z[c] @ chol.T + source.mean + aux[c] * sd) * g
+        records[c] = (z[c] @ chol.T + aux[c] * sd) * g
     return records
 
 
@@ -511,7 +511,7 @@ def test_row_blocked_engine_equals_whole_chunk_reference(monkeypatch, chunk, see
 
 @pytest.mark.parametrize("rows", [1, 15, 16, 17, (1 << 14) + 3])
 def test_columnwise_ops_equal_the_per_column_broadcast(rows):
-    # the aux scale, and the build's mean and gain steps
+    # the aux scale and the build's gain step, and an add
     rng = np.random.default_rng(rows)
     values = rng.standard_normal((rows, 4)) * [1.0, 3.0, 1e3, 1e-3]
     sd1, sd2 = (np.sqrt((2.0 * n + 1.0) / 4.0) for n in (69.0, 40.0))
@@ -530,11 +530,10 @@ def test_columnwise_ops_equal_the_per_column_broadcast(rows):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_engine_off_the_tile_period_equals_whole_chunk_reference(monkeypatch, seed):
     # 4099 records is no multiple of detection._TILE_ROWS: every block ends
-    # in a part of a tile; a displaced source exercises the mean step
+    # in a part of a tile
     chunk = 4099
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", chunk)
-    squeezed = two_mode_squeeze(vacuum_state(2), 1.3)
-    state = GaussianState(2, np.array([0.3, -0.2, 1.7, 0.05]), squeezed.cov)
+    state = two_mode_squeeze(vacuum_state(2), 1.3)
     cfg = DetectionConfig(n_noise_ch2=40.0, gain_ch2=1.03)
     n = 3 * chunk + 7
     sources = (state, vacuum_state(2))
@@ -691,16 +690,16 @@ def test_measure_zero_records():
 
 def test_measure_semidefinite_jitter_and_rejection():
     cfg = DetectionConfig()
-    semi = GaussianState(2, np.zeros(4), np.diag([1.0, 0.0, 1.0, 0.0]))
+    semi = GaussianState(np.diag([1.0, 0.0, 1.0, 0.0]))
     records = measure(semi, cfg, 100, seed=0).quadratures()
     assert records.shape == (100, 4) and np.all(np.isfinite(records))
     # Records are linear in the Cholesky diagonal over shared draws, so the
     # zero-variance P quadratures carry only the 1e-12 jitter's 1e-6 scale.
     vac = measure(semi, cfg, 100, seed=0, pump_on=False).quadratures()
-    unit = measure(GaussianState(2, np.zeros(4), np.eye(4)), cfg, 100, seed=0)
+    unit = measure(GaussianState(np.eye(4)), cfg, 100, seed=0)
     linear = 2.0 * vac - unit.quadratures()
     np.testing.assert_allclose(records[:, 1::2], linear[:, 1::2], rtol=0, atol=1e-5)
-    indefinite = GaussianState(2, np.zeros(4), np.diag([1.0, -1.0, 1.0, 1.0]))
+    indefinite = GaussianState(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(InvalidCovarianceError):
         measure(indefinite, cfg, 10, seed=0)
 

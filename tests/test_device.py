@@ -31,6 +31,7 @@ from jpatomo.device import (
 )
 from jpatomo.errors import (
     FitDegenerateError,
+    FloatOverflowError,
     FluxDivergenceError,
     NoConvergenceError,
     UnstableRegimeError,
@@ -86,7 +87,7 @@ def test_resonance_divergence_guard():
 
 
 def test_gain_peak_and_half_width():
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     assert gain(0.0, prof) == 100.0
     assert gain(prof.bandwidth / 2.0, prof) == pytest.approx(50.5, abs=1e-12)
     deltas = np.linspace(-5e7, 5e7, 101)
@@ -94,7 +95,7 @@ def test_gain_peak_and_half_width():
 
 
 def test_psd_is_gain_minus_one_plus_floor():
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-2e7, 2e7, 41)
     np.testing.assert_array_equal(
         psd(deltas, prof, 69.0), gain(deltas, prof) - 1.0 + 69.0
@@ -118,7 +119,6 @@ def test_gain_bandwidth_product_constant_over_powers():
 def test_gain_profile_hits_anchor_exactly():
     prof = gain_profile(DEFAULT_PUMP, DEFAULT_DEVICE)
     assert prof.g0 == pytest.approx(DEFAULT_GAIN_ANCHOR.g0, rel=1e-12)
-    assert prof.omega_p == DEFAULT_PUMP.omega_p
 
 
 def test_gain_profile_monotone_toward_critical():
@@ -152,7 +152,7 @@ def test_gain_profile_rejects_unstable_pump():
 
 
 def test_fit_psd_noiseless_recovery():
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
     samples = np.column_stack([deltas, psd(deltas, prof, 69.0)])
     fit = fit_psd(samples)
@@ -162,7 +162,7 @@ def test_fit_psd_noiseless_recovery():
 
 
 def test_fit_psd_noisy_recovery_single_seed():
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
     rng = np.random.default_rng(11)
     noisy = psd(deltas, prof, 69.0) + rng.normal(0.0, 0.5, deltas.size)
@@ -195,6 +195,13 @@ def test_fit_psd_input_validation():
     samples[3, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         fit_psd(samples)
+    # the fewest samples and distinct detunings taken: 10 and 4
+    deltas = np.repeat([-1.0, -0.3, 0.3, 1.0], [3, 2, 2, 3])
+    assert fit_psd(np.column_stack([deltas, 1.0 + 5.0 / (1.0 + (deltas / 0.4) ** 2)])).g0 > 1.0
+    # a sum of squares and a squared mean that float64 holds, but not their sum
+    values = np.where(np.arange(10) % 2, 6.5e153, 0.5e153)
+    with pytest.raises(FloatOverflowError, match="sum of squares"):
+        fit_psd(np.column_stack([np.linspace(-1.0, 1.0, 10), values]))
 
 
 def _reference_fit_psd(samples):
@@ -292,6 +299,19 @@ def test_fit_psd_matches_least_squares_reference_on_default_spectra():
         assert 68.0 <= fit.n_noise <= 70.0
 
 
+@pytest.mark.parametrize("offset", range(5))
+def test_fit_psd_errors_follow_the_units_of_the_detunings(offset):
+    # the bandwidth's Jacobian column scales as 1 / B, so detunings in other
+    # units scale its error alone; pinv's cutoff must not drop that column
+    samples = _default_psd_samples(offset)
+    base = fit_psd(samples)
+    for k in (2, 4):
+        fit = fit_psd(samples * [10.0**k, 1.0])
+        assert fit.bandwidth_stderr == pytest.approx(10.0**k * base.bandwidth_stderr, rel=1e-6)
+        assert fit.g0_stderr == pytest.approx(base.g0_stderr, rel=1e-6)
+        assert fit.n_noise_stderr == pytest.approx(base.n_noise_stderr, rel=1e-6)
+
+
 @pytest.mark.parametrize(
     ("g0", "floor"),
     [(1.0, 69.0), (1.5, 69.0), (100.0, 0.0), (2.0, 0.0)],
@@ -300,7 +320,7 @@ def test_fit_psd_matches_least_squares_reference_on_default_spectra():
 def test_fit_psd_cost_no_worse_than_reference_on_ill_posed_spectra(g0, floor):
     # no identifiable peak, or the n_noise >= 0 bound active: the two fitters
     # may stop at different points, but the new one may not fit worse
-    prof = GainProfile(g0=g0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=g0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
     rng = np.random.default_rng(31)
     for _ in range(25):
@@ -337,6 +357,18 @@ def test_fit_psd_collinear_limits_are_finite_and_silent(values):
     assert fit.g0 >= 1.0 and fit.n_noise >= 0.0
     _, _, cost_ref = _reference_fit_psd(samples)
     assert _psd_cost(fit, samples) <= cost_ref * (1.0 + 1e-7)
+
+
+def test_fit_psd_errors_of_a_peak_below_the_resolution_of_g0_are_silent():
+    # g0 - 1 = 1e-18 rounds to g0 = 1, which zeroes the bandwidth's Jacobian
+    # column: scaling the columns must not divide by its zero norm
+    deltas = np.linspace(-1.0, 1.0, 50)
+    values = 1e-18 / (1.0 + (2.0 * deltas / 0.5) ** 2) + 1e-18
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_psd(np.column_stack([deltas, values]))
+    assert fit.g0 == 1.0
+    assert np.isfinite([fit.g0_stderr, fit.bandwidth_stderr, fit.n_noise_stderr]).all()
 
 
 @pytest.mark.parametrize(
@@ -444,8 +476,26 @@ def test_fit_psd_line_search_is_brent(monkeypatch):
         assert 1 <= len(calls) - 2 <= 15
 
 
+def test_brent_steps_depend_only_on_differences_of_abscissae():
+    # shifting the bracket, the start and the function by c shifts every
+    # evaluated point by c: no step may depend on where the bracket sits
+    def points(c):
+        pts = []
+
+        def func(u):
+            pts.append(u - c)
+            return (abs(u - c - 0.3) + 0.1 * (u - c - 0.3) ** 2,)
+
+        device._brent_min(func, c, 1.0 + c, 0.5 + c, func(0.5 + c), 1e-6)
+        return pts[1:]
+
+    base = points(0.0)
+    for c in (-7.6, 5.0):
+        np.testing.assert_allclose(points(c), base, rtol=0, atol=1e-12)
+
+
 def test_fit_psd_step_cap_raises_no_convergence(monkeypatch):
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-2.5 * prof.bandwidth, 2.5 * prof.bandwidth, 200)
     noisy = psd(deltas, prof, 69.0) + np.random.default_rng(11).normal(0.0, 0.5, 200)
     monkeypatch.setattr(device, "_POLISH_STEPS", 1)
@@ -457,7 +507,7 @@ def test_fit_psd_keeps_the_last_feasible_point_at_a_step_out_of_bounds():
     # the data shifted so that their best floor is -1e-7: the bracketed start
     # has a floor a hair above 0, and its Gauss-Newton step, which lowers the
     # cost, would take the floor below its bound
-    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6, omega_p=DEFAULT_PUMP.omega_p)
+    prof = GainProfile(g0=100.0, bandwidth=TWO_PI * 3e6)
     deltas = np.linspace(-3.0 * prof.bandwidth, 3.0 * prof.bandwidth, 60)
     data = psd(deltas, prof, 5.0) + np.random.default_rng(1).normal(0.0, 0.5, 60)
     free = fit_psd(np.column_stack([deltas, data]))
@@ -468,16 +518,15 @@ def test_fit_psd_keeps_the_last_feasible_point_at_a_step_out_of_bounds():
 
 
 def test_device_params_validation():
-    omega_p = DEFAULT_PUMP.omega_p
     with pytest.raises(ValueError, match="g0 must be >= 1"):
-        GainProfile(g0=0.5, bandwidth=TWO_PI * 3e6, omega_p=omega_p)
+        GainProfile(g0=0.5, bandwidth=TWO_PI * 3e6)
     # the bandwidth's range is closed at both ends
     for bandwidth in (device.MIN_BANDWIDTH, device.MAX_BANDWIDTH):
-        assert GainProfile(g0=2.0, bandwidth=bandwidth, omega_p=omega_p).bandwidth == bandwidth
+        assert GainProfile(g0=2.0, bandwidth=bandwidth).bandwidth == bandwidth
     with pytest.raises(ValueError, match="is below"):
-        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MIN_BANDWIDTH, 0.0), omega_p=omega_p)
+        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MIN_BANDWIDTH, 0.0))
     with pytest.raises(ValueError, match="is above"):
-        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MAX_BANDWIDTH, np.inf), omega_p=omega_p)
+        GainProfile(g0=2.0, bandwidth=np.nextafter(device.MAX_BANDWIDTH, np.inf))
     with pytest.raises(ValueError):
         DeviceParams(kappa=0.0)
     with pytest.raises(ValueError):
@@ -488,6 +537,16 @@ def test_device_params_validation():
         DeviceParams(gain_bandwidth_const=0.0)
     with pytest.raises(ValueError, match="freq_scale must be > 0"):
         replace(DEFAULT_GAIN_ANCHOR, freq_scale=0.0)
+    # each bound is exclusive at its edge value
+    with pytest.raises(ValueError, match="omega_r_max must be > 0"):
+        DeviceParams(omega_r_max=0.0)
+    with pytest.raises(ValueError, match="participation"):
+        DeviceParams(participation=0.0)
+    with pytest.raises(ValueError, match="anchor g0 must be >= 1"):
+        replace(DEFAULT_GAIN_ANCHOR, g0=0.5)
+    assert replace(DEFAULT_GAIN_ANCHOR, g0=1.0).g0 == 1.0
+    with pytest.raises(ValueError, match="gain anchor must sit below the critical power"):
+        gain_profile(DEFAULT_PUMP, DEFAULT_DEVICE, replace(DEFAULT_GAIN_ANCHOR, power_dbm=-80.6))
 
 
 def test_pump_defaults_match_operating_point():

@@ -123,6 +123,19 @@ def test_auto_binning_rejects_degenerate_prefix():
         auto_binning(batch_from_quadratures(np.zeros((1, 4))))
 
 
+def test_auto_binning_names_a_quadrature_below_half_a_bin():
+    # the range follows channel 1; channel 2's spread of 1/30 of it falls
+    # below half a bin width, 6 / 128 of it
+    q = np.random.default_rng(3).standard_normal((10_000, 4)) * [1.0, 1.0, 1 / 30, 1 / 30]
+    below = r"quadrature [XP]2 of channel 2 .*streaming"
+    with pytest.raises(DegenerateReferenceError, match=below):
+        auto_binning(batch_from_quadratures(q), bins=128, sigmas=6.0)
+    q[:, 2:] *= 20.0  # 2 / 3 of channel 1's spread: resolved
+    assert auto_binning(batch_from_quadratures(q), bins=128, sigmas=6.0).bins == 128
+    with pytest.raises(DegenerateReferenceError, match="quadrature P1 of channel 1"):
+        auto_binning(batch_from_quadratures(q[:, [2, 0, 1, 3]] * [1.0, 0.01, 1.0, 1.0]))
+
+
 def test_auto_binning_reads_only_the_prefix_blocks_of_a_recipe(monkeypatch, draws):
     monkeypatch.setattr(detection, "_MEASURE_CHUNK", 4096)
     state = two_mode_squeeze(vacuum_state(2), 1.0)
